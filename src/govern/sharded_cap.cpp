@@ -24,6 +24,7 @@ void ShardedCapCoordinator::attach() {
   ANTAREX_REQUIRE(!attached_, "ShardedCapCoordinator: already attached");
   const std::size_t n = cluster_.node_count();
   ANTAREX_REQUIRE(n > 0, "ShardedCapCoordinator: cluster has no nodes");
+  cluster_.finalize();  // renegotiate() walks the shard table
   budgets_w_.assign(n, 0.0);
   node_energy_mark_.assign(n, 0.0);
   node_demand_w_.assign(n, 0.0);

@@ -5,7 +5,8 @@
 // count. Three pieces compose:
 //
 //   StreamStat      count/sum/min/max over one (shard, metric) stream
-//   QuantileSketch  fixed-bin histogram over a configured value range;
+//   Histogram       the shared fixed-bin histogram (support/stats) as the
+//                   quantile sketch over a configured value range;
 //                   approx_quantile() interpolates inside the bin, so the
 //                   error is bounded by one bin width
 //   RetentionRing   RRD-style multi-resolution history: three rings at 1x,
@@ -14,7 +15,7 @@
 //                   mean into the coarser ring. Old data ages into coarser
 //                   resolution instead of growing memory.
 //
-// ShardAggregator owns one StreamStat + QuantileSketch per (shard, metric)
+// ShardAggregator owns one StreamStat + Histogram per (shard, metric)
 // and one RetentionRing per metric at cluster scope, plus a TopK of outlier
 // nodes — total memory O(shards * metrics + K).
 //
@@ -28,6 +29,7 @@
 #include "monitor/topic.hpp"
 #include "monitor/topk.hpp"
 #include "support/common.hpp"
+#include "support/stats.hpp"
 
 namespace antarex::monitor {
 
@@ -61,28 +63,6 @@ struct StreamStat {
   }
   double mean() const { return count ? sum / static_cast<double>(count) : 0.0; }
   void clear() { *this = StreamStat{}; }
-};
-
-/// Fixed-bin quantile sketch: values clamp to [lo, hi], quantiles interpolate
-/// within the owning bin. Single-writer (sim thread), so plain u64 bins.
-class QuantileSketch {
- public:
-  QuantileSketch(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  u64 count() const { return count_; }
-  /// q in [0,1]; 0 with no samples. Error bound: one bin width.
-  double approx_quantile(double q) const;
-  void merge(const QuantileSketch& o);
-  void clear();
-  std::size_t approx_bytes() const {
-    return sizeof(*this) + bins_.size() * sizeof(u64);
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<u64> bins_;
-  u64 count_ = 0;
 };
 
 /// One fixed-capacity ring of (mean, min, max) cells.
@@ -160,7 +140,7 @@ class ShardAggregator {
 
   u64 frames() const { return frames_; }
   const StreamStat& shard_stat(std::size_t shard, Metric m) const;
-  const QuantileSketch& shard_sketch(std::size_t shard, Metric m) const;
+  const Histogram& shard_sketch(std::size_t shard, Metric m) const;
   StreamStat cluster_stat(Metric m) const;  ///< merged over shards
   double cluster_quantile(Metric m, double q) const;
   const RetentionRing& ring(Metric m) const;
@@ -174,7 +154,7 @@ class ShardAggregator {
  private:
   struct Cell {
     StreamStat stat;
-    QuantileSketch sketch;
+    Histogram sketch;
     Cell(double lo, double hi, std::size_t bins) : sketch(lo, hi, bins) {}
   };
   Cell& cell(std::size_t shard, Metric m) {

@@ -26,15 +26,16 @@ MonitorFabric::MonitorFabric(FabricConfig cfg)
   });
 }
 
-void MonitorFabric::attach(rtrm::Cluster& cluster) {
+template <typename Plant>
+void MonitorFabric::attach_plant(Plant& plant) {
   ANTAREX_REQUIRE(!attached_, "MonitorFabric: attach() called twice");
   attached_ = true;
 
   dev_base_.clear();
   std::size_t devices = 0;
-  for (const rtrm::Node& node : cluster.nodes()) {
+  for (std::size_t i = 0; i < plant.node_count(); ++i) {
     dev_base_.push_back(devices);
-    devices += node.device_count();
+    devices += plant.node_device_count(i);
   }
   prev_uj_.assign(devices, 0);
 
@@ -42,51 +43,25 @@ void MonitorFabric::attach(rtrm::Cluster& cluster) {
   broker_.subscribe("#", [this](const MetricFrame& f) { aggregator_.ingest(f); });
   broker_.subscribe("#", [this](const MetricFrame& f) { detector_.observe(f); });
 
-  cluster.add_step_observer(
-      [this, &cluster](double now_s, double /*it_power_w*/, double /*dt_s*/) {
-        on_step(cluster, now_s);
+  plant.add_step_observer(
+      [this, &plant](double now_s, double /*it_power_w*/, double /*dt_s*/) {
+        on_step(plant, now_s);
       });
 }
 
-void MonitorFabric::attach(rtrm::ShardedCluster& cluster) {
-  ANTAREX_REQUIRE(!attached_, "MonitorFabric: attach() called twice");
-  attached_ = true;
-
-  dev_base_.clear();
-  std::size_t devices = 0;
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    dev_base_.push_back(devices);
-    devices += cluster.node_device_count(i);
-  }
-  prev_uj_.assign(devices, 0);
-
-  // Registration order fixes delivery order: aggregate, then detect.
-  broker_.subscribe("#", [this](const MetricFrame& f) { aggregator_.ingest(f); });
-  broker_.subscribe("#", [this](const MetricFrame& f) { detector_.observe(f); });
-
-  cluster.add_step_observer(
-      [this, &cluster](double now_s, double /*it_power_w*/, double /*dt_s*/) {
-        on_step_sharded(cluster, now_s);
-      });
-}
-
-void MonitorFabric::prime_sharded(rtrm::ShardedCluster& cluster) {
-  for (std::size_t i = 0; i < cluster.node_count(); ++i)
-    for (std::size_t d = 0; d < cluster.node_device_count(i); ++d)
-      prev_uj_[dev_base_[i] + d] = cluster.device_counter_uj(i, d);
-}
-
-void MonitorFabric::on_step_sharded(rtrm::ShardedCluster& cluster,
-                                    double now_s) {
+template <typename Plant>
+void MonitorFabric::on_step(Plant& plant, double now_s) {
   if (now_s + 1e-9 < next_sample_s_) return;
   const auto t0 = std::chrono::steady_clock::now();
 
   if (!primed_) {
     // First sweep: record RAPL readings only; a delta needs two of them.
-    prime_sharded(cluster);
+    for (std::size_t i = 0; i < plant.node_count(); ++i)
+      for (std::size_t d = 0; d < plant.node_device_count(i); ++d)
+        prev_uj_[dev_base_[i] + d] = plant.device_counter_uj(i, d);
     primed_ = true;
   } else {
-    sample_sharded(cluster, now_s, now_s - last_sample_s_);
+    sample(plant, now_s, now_s - last_sample_s_);
   }
   last_sample_s_ = now_s;
   while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
@@ -98,27 +73,27 @@ void MonitorFabric::on_step_sharded(rtrm::ShardedCluster& cluster,
   }
 }
 
-void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
-                                   double elapsed_s) {
+template <typename Plant>
+void MonitorFabric::sample(Plant& plant, double now_s, double elapsed_s) {
   ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
-  for (std::size_t i = 0; i < cluster.node_count(); ++i) {
-    const std::size_t n_dev = cluster.node_device_count(i);
+  for (std::size_t i = 0; i < plant.node_count(); ++i) {
+    const std::size_t n_dev = plant.node_device_count(i);
     double energy_j = 0.0;
     double temp_c = 0.0;
     double progress = 0.0;
     u16 busy = 0;
     for (std::size_t d = 0; d < n_dev; ++d) {
-      const u32 cur = cluster.device_counter_uj(i, d);
+      const u32 cur = plant.device_counter_uj(i, d);
       u32& prev = prev_uj_[dev_base_[i] + d];
       energy_j += power::RaplDomain::delta_j(prev, cur);
       prev = cur;
-      temp_c = std::max(temp_c, cluster.device_temperature_c(i, d));
-      progress += cluster.device_progress_rate_ups(i, d);
-      if (cluster.device_busy(i, d)) ++busy;
+      temp_c = std::max(temp_c, plant.device_temperature_c(i, d));
+      progress += plant.device_progress_rate_ups(i, d);
+      if (plant.device_busy(i, d)) ++busy;
     }
     // A downed node's sampler is down with it: readings refreshed (above),
     // nothing published.
-    if (cluster.node_failed(i)) continue;
+    if (plant.node_failed(i)) continue;
 
     MetricFrame frame;
     frame.t_s = now_s;
@@ -126,7 +101,7 @@ void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
     frame.shard = shard_of(i);
     frame.busy_devices = busy;
     frame.power_w =
-        static_cast<float>(energy_j / elapsed_s + cluster.node_base_power_w(i));
+        static_cast<float>(energy_j / elapsed_s + plant.node_base_power_w(i));
     frame.temp_c = static_cast<float>(temp_c);
     frame.util = n_dev ? static_cast<float>(busy) / static_cast<float>(n_dev)
                        : 0.0f;
@@ -141,80 +116,13 @@ void MonitorFabric::sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
                   static_cast<double>(broker_.published()));
 }
 
+void MonitorFabric::attach(rtrm::Cluster& cluster) { attach_plant(cluster); }
+
+void MonitorFabric::attach(rtrm::ShardedCluster& cluster) { attach_plant(cluster); }
+
 void MonitorFabric::add_episode_listener(EpisodeListener fn) {
   ANTAREX_REQUIRE(fn != nullptr, "MonitorFabric: null episode listener");
   listeners_.push_back(std::move(fn));
-}
-
-void MonitorFabric::on_step(rtrm::Cluster& cluster, double now_s) {
-  if (now_s + 1e-9 < next_sample_s_) return;
-  const auto t0 = std::chrono::steady_clock::now();
-
-  if (!primed_) {
-    // First sweep: record RAPL readings only; a delta needs two of them.
-    for (std::size_t i = 0; i < cluster.nodes().size(); ++i) {
-      const rtrm::Node& node = cluster.nodes()[i];
-      for (std::size_t d = 0; d < node.device_count(); ++d)
-        prev_uj_[dev_base_[i] + d] = node.device(d).rapl().counter_uj();
-    }
-    primed_ = true;
-  } else {
-    sample(cluster, now_s, now_s - last_sample_s_);
-  }
-  last_sample_s_ = now_s;
-  while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
-
-  if (cfg_.time_self) {
-    self_s_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
-  }
-}
-
-void MonitorFabric::sample(rtrm::Cluster& cluster, double now_s,
-                           double elapsed_s) {
-  ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
-  for (std::size_t i = 0; i < cluster.nodes().size(); ++i) {
-    const rtrm::Node& node = cluster.nodes()[i];
-    double energy_j = 0.0;
-    double temp_c = 0.0;
-    double progress = 0.0;
-    u16 busy = 0;
-    for (std::size_t d = 0; d < node.device_count(); ++d) {
-      const rtrm::Device& dev = node.device(d);
-      const u32 cur = dev.rapl().counter_uj();
-      u32& prev = prev_uj_[dev_base_[i] + d];
-      energy_j += power::RaplDomain::delta_j(prev, cur);
-      prev = cur;
-      temp_c = std::max(temp_c, dev.temperature_c());
-      progress += dev.progress_rate_ups();
-      if (dev.busy()) ++busy;
-    }
-    // A downed node's sampler is down with it: readings refreshed (above),
-    // nothing published.
-    if (node.failed()) continue;
-
-    MetricFrame frame;
-    frame.t_s = now_s;
-    frame.node = static_cast<u32>(i);
-    frame.shard = shard_of(i);
-    frame.busy_devices = busy;
-    frame.power_w =
-        static_cast<float>(energy_j / elapsed_s + node.base_power_w());
-    frame.temp_c = static_cast<float>(temp_c);
-    frame.util = node.device_count()
-                     ? static_cast<float>(busy) /
-                           static_cast<float>(node.device_count())
-                     : 0.0f;
-    frame.progress_ups = static_cast<float>(progress);
-    broker_.publish(frame);
-  }
-  broker_.drain();
-  aggregator_.roll_step();
-  ++samples_;
-  TELEMETRY_COUNT("monitor.samples", 1);
-  TELEMETRY_GAUGE("monitor.frames_published",
-                  static_cast<double>(broker_.published()));
 }
 
 std::size_t MonitorFabric::approx_bytes() const {

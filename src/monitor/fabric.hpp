@@ -1,15 +1,19 @@
 // antarex::monitor — the assembled monitoring fabric.
 //
-// MonitorFabric wires the Examon pipeline onto a live rtrm::Cluster:
+// MonitorFabric wires the Examon pipeline onto a live plant, either the
+// legacy rtrm::Cluster or the SoA rtrm::ShardedCluster:
 //
 //   Sampler ──frames──▶ Broker ──drain──▶ ShardAggregator
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
 //
-// attach() installs one step observer. Every sample_period_s of simulated
-// time it samples all alive nodes — power from RAPL counter *deltas* (what a
-// real out-of-band sampler reads, glitches included), hottest-device
-// temperature, utilization, and the observable progress rate — publishes one
-// MetricFrame per node, drains the broker, and rolls the aggregation step.
+// attach() installs one step observer. There is one sampler, a private
+// template over the plant: both engines expose the same per-node/per-device
+// read accessors, so frames, episodes and health_json() are byte-identical
+// on either. Every sample_period_s of simulated time it samples all alive
+// nodes — power from RAPL counter *deltas* (what a real out-of-band sampler
+// reads, glitches included), hottest-device temperature, utilization, and
+// the observable progress rate — publishes one MetricFrame per node, drains
+// the broker, and rolls the aggregation step.
 // Everything runs on the simulation thread; results are byte-identical at
 // any exec worker count.
 //
@@ -101,12 +105,14 @@ class MonitorFabric {
   std::string health_json() const;
 
  private:
-  void on_step(rtrm::Cluster& cluster, double now_s);
-  void sample(rtrm::Cluster& cluster, double now_s, double elapsed_s);
-  void on_step_sharded(rtrm::ShardedCluster& cluster, double now_s);
-  void sample_sharded(rtrm::ShardedCluster& cluster, double now_s,
-                      double elapsed_s);
-  void prime_sharded(rtrm::ShardedCluster& cluster);
+  // The sampler, written once over the plant: Plant is rtrm::Cluster or
+  // rtrm::ShardedCluster (same per-node/per-device read accessors).
+  template <typename Plant>
+  void attach_plant(Plant& plant);
+  template <typename Plant>
+  void on_step(Plant& plant, double now_s);
+  template <typename Plant>
+  void sample(Plant& plant, double now_s, double elapsed_s);
 
   FabricConfig cfg_;
   Broker broker_;

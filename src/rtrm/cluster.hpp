@@ -51,6 +51,29 @@ class Cluster {
   std::vector<Node>& nodes() { return nodes_; }
   const std::vector<Node>& nodes() const { return nodes_; }
 
+  // --- state reads, named as on ShardedCluster so code generic over the
+  // plant (the monitor fabric's sampler) is written once -------------------
+  std::size_t node_count() const { return nodes_.size(); }
+  std::size_t node_device_count(std::size_t node) const {
+    return nodes_[node].device_count();
+  }
+  bool node_failed(std::size_t node) const { return nodes_[node].failed(); }
+  double node_base_power_w(std::size_t node) const {
+    return nodes_[node].base_power_w();
+  }
+  u32 device_counter_uj(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).rapl().counter_uj();
+  }
+  double device_temperature_c(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).temperature_c();
+  }
+  double device_progress_rate_ups(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).progress_rate_ups();
+  }
+  bool device_busy(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).busy();
+  }
+
   Dispatcher& dispatcher() { return dispatcher_; }
   const Dispatcher& dispatcher() const { return dispatcher_; }
   const ClusterConfig& config() const { return config_; }

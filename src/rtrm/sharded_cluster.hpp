@@ -133,6 +133,10 @@ class ShardedCluster {
   std::size_t node_device_count(std::size_t node) const {
     return node_dev_count_[node];
   }
+  /// Freeze the topology and build the shard table, as the first run call
+  /// does; idempotent. Call it before reading shard_count(),
+  /// shard_of_node() or shard_node_range() ahead of the first run.
+  void finalize();
   std::size_t shard_count() const { return config_.shards; }
   /// Shard owning node i, and the node range [first, last) of shard s.
   std::size_t shard_of_node(std::size_t node) const { return node_shard_[node]; }
@@ -270,7 +274,6 @@ class ShardedCluster {
   double fresh_device_power_w(u32 d) const;
   double fresh_node_power_w(std::size_t node) const;
 
-  void finalize();
   void step_shard(std::size_t s, double dt_s);
   void control_step();
   void governor_step(u32 d, GovernorPolicy policy, double base_share);

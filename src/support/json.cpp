@@ -168,8 +168,16 @@ class Parser {
 
   JsonValue value() {
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        // Recursion depth tracks container nesting, so bounding one bounds
+        // the other: hostile input throws instead of overflowing the stack.
+        ANTAREX_REQUIRE(depth_ < kJsonMaxDepth, err("nesting too deep"));
+        ++depth_;
+        JsonValue v = peek() == '{' ? object() : array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue::string(string_body());
       case 't':
         ANTAREX_REQUIRE(consume_word("true"), err("bad literal"));
@@ -291,6 +299,7 @@ class Parser {
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< containers open at pos_
 };
 
 }  // namespace

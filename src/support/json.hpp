@@ -9,7 +9,8 @@
 //  - reading: a small recursive-descent parser for the documents this repo
 //    itself produces (Chrome traces, metrics dumps, BENCH_*.json). It accepts
 //    standard JSON, keeps object keys in insertion order, and throws
-//    antarex::Error with an offset on malformed input. Not a general-purpose
+//    antarex::Error with an offset on malformed input (nesting depth is
+//    bounded, so no input can overflow the stack). Not a general-purpose
 //    library: no streaming, no \u surrogate pairs (escapes decode to '?'),
 //    numbers as double.
 #pragma once
@@ -74,8 +75,11 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
 
-/// Parse a complete JSON document; throws antarex::Error on syntax errors or
-/// trailing garbage.
+/// Deepest container nesting parse_json() accepts.
+inline constexpr std::size_t kJsonMaxDepth = 512;
+
+/// Parse a complete JSON document; throws antarex::Error on syntax errors,
+/// trailing garbage, or arrays/objects nested deeper than kJsonMaxDepth.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace antarex

@@ -126,12 +126,10 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   ANTAREX_REQUIRE(bins > 0, "Histogram: need at least one bin");
 }
 
-void Histogram::add(double x) {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto i = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  i = std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(i)];
-  ++total_;
+void Histogram::add_to_bin(std::size_t i, std::size_t n) {
+  ANTAREX_REQUIRE(i < counts_.size(), "Histogram: bin index out of range");
+  counts_[i] += n;
+  total_ += n;
 }
 
 std::size_t Histogram::bin_count(std::size_t i) const {
@@ -144,5 +142,38 @@ double Histogram::bin_low(std::size_t i) const {
 }
 
 double Histogram::bin_high(std::size_t i) const { return bin_low(i + 1); }
+
+double Histogram::approx_quantile(double q) const {
+  ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0, "Histogram: quantile outside [0,1]");
+  if (total_ == 0) return 0.0;
+  const double n = static_cast<double>(total_);
+  const double target = std::clamp(q * n, 0.0, n);
+  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
+  double cum = 0.0;
+  for (std::size_t i = 0; i < counts_.size(); ++i) {
+    const double c = static_cast<double>(counts_[i]);
+    if (c <= 0.0) continue;
+    if (cum + c >= target) {
+      // The bin's mass is assumed uniformly spread over its value range.
+      const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
+      return lo_ + (static_cast<double>(i) + frac) * width;
+    }
+    cum += c;
+  }
+  return hi_;
+}
+
+void Histogram::merge(const Histogram& other) {
+  ANTAREX_REQUIRE(other.counts_.size() == counts_.size() && other.lo_ == lo_ &&
+                      other.hi_ == hi_,
+                  "Histogram: merging incompatible histograms");
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  total_ += other.total_;
+}
+
+void Histogram::clear() {
+  std::fill(counts_.begin(), counts_.end(), std::size_t{0});
+  total_ = 0;
+}
 
 }  // namespace antarex

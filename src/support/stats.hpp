@@ -1,6 +1,8 @@
 // Streaming and batch statistics used by monitors, benches and models.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -81,17 +83,41 @@ double mean(const std::vector<double>& xs);
 /// Geometric mean; requires all-positive values.
 double geometric_mean(const std::vector<double>& xs);
 
-/// Fixed-range histogram used by the workload analyses.
+/// Fixed-range, fixed-bin histogram: the one fixed-bin implementation in the
+/// tree. It backs the workload analyses, the monitor's per-(shard, metric)
+/// quantile sketches and every telemetry::Histogram snapshot. Out-of-range
+/// values clamp to the edge bins; approx_quantile() interpolates inside the
+/// owning bin, so its error is bounded by one bin width. Single-writer.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
-  void add(double x);  ///< out-of-range values are clamped to edge bins
+  /// Index of the bin x falls in among `bins` equal bins over [lo, hi);
+  /// out-of-range values clamp to the edge bins.
+  static std::size_t bin_of(double x, double lo, double hi, std::size_t bins) {
+    const double t = (x - lo) / (hi - lo);
+    const auto i =
+        static_cast<std::ptrdiff_t>(std::floor(t * static_cast<double>(bins)));
+    return static_cast<std::size_t>(
+        std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(bins) - 1));
+  }
+
+  void add(double x) {
+    ++counts_[bin_of(x, lo_, hi_, counts_.size())];
+    ++total_;
+  }
+  /// Credit n samples to bin i directly (snapshots of concurrent histograms).
+  void add_to_bin(std::size_t i, std::size_t n);
   std::size_t bin_count(std::size_t i) const;
   std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
+  std::size_t count() const { return total_; }
   double bin_low(std::size_t i) const;
   double bin_high(std::size_t i) const;
+  /// q in [0,1]; 0 with no samples. Error bound: one bin width.
+  double approx_quantile(double q) const;
+  /// Add another histogram's bins; both must share lo, hi and bin count.
+  void merge(const Histogram& other);
+  void clear();
 
  private:
   double lo_, hi_;

@@ -127,14 +127,15 @@ std::string metrics_json(const Registry& registry) {
 
   Joiner histograms;
   for (const auto& [name, h] : registry.histograms()) {
+    const antarex::Histogram snap = h->snapshot();
     Joiner buckets;
-    for (std::size_t i = 0; i < h->bins(); ++i) buckets.add(num(h->bucket(i)));
+    for (std::size_t i = 0; i < snap.bins(); ++i) buckets.add(num(snap.bin_count(i)));
     histograms.add("\"" + json_escape(name) + "\":{\"lo\":" + num(h->lo()) +
-                   ",\"hi\":" + num(h->hi()) + ",\"count\":" + num(h->count()) +
+                   ",\"hi\":" + num(h->hi()) + ",\"count\":" + num(snap.count()) +
                    ",\"sum\":" + num(h->sum()) + ",\"mean\":" + num(h->mean()) +
-                   ",\"p50\":" + num(h->approx_quantile(0.50)) +
-                   ",\"p95\":" + num(h->approx_quantile(0.95)) +
-                   ",\"p99\":" + num(h->approx_quantile(0.99)) +
+                   ",\"p50\":" + num(snap.approx_quantile(0.50)) +
+                   ",\"p95\":" + num(snap.approx_quantile(0.95)) +
+                   ",\"p99\":" + num(snap.approx_quantile(0.99)) +
                    ",\"buckets\":[" + buckets.str() + "]}");
   }
 
@@ -180,12 +181,13 @@ Table summary_table(const Registry& registry) {
   for (const auto& [name, g] : registry.gauges())
     t.add_row({name, "gauge", num(g->updates()), format("%.4g", g->last()),
                "-", "-", format("max %.4g", g->max()), "-"});
-  for (const auto& [name, h] : registry.histograms())
-    t.add_row({name, "histogram", num(h->count()), format("%.4g", h->sum()),
-               format("%.4g", h->mean()),
-               format("%.4g", h->approx_quantile(0.50)),
-               format("%.4g", h->approx_quantile(0.95)),
-               format("%.4g", h->approx_quantile(0.99))});
+  for (const auto& [name, h] : registry.histograms()) {
+    const antarex::Histogram snap = h->snapshot();
+    t.add_row({name, "histogram", num(snap.count()), format("%.4g", h->sum()),
+               format("%.4g", h->mean()), format("%.4g", snap.approx_quantile(0.50)),
+               format("%.4g", snap.approx_quantile(0.95)),
+               format("%.4g", snap.approx_quantile(0.99))});
+  }
   for (const auto& [name, s] : registry.all_series()) {
     const bool has = !s->empty();
     t.add_row({name, "series", num(static_cast<u64>(s->count())),

@@ -1,8 +1,5 @@
 #include "telemetry/registry.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace antarex::telemetry {
 
 // --- Histogram --------------------------------------------------------------
@@ -15,13 +12,8 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
 
 void Histogram::add(double x) {
   if (!enabled()) return;
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::ptrdiff_t>(
-      std::floor(frac * static_cast<double>(counts_.size())));
-  idx = std::clamp<std::ptrdiff_t>(idx, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  counts_[static_cast<std::size_t>(idx)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t i = antarex::Histogram::bin_of(x, lo_, hi_, counts_.size());
+  counts_[i].fetch_add(1, std::memory_order_relaxed);
   // CAS loop: fetch_add on atomic<double> needs C++20 library support that
   // not every baked-in toolchain ships; this is portable and contention here
   // is low (histograms sit behind the enabled() gate).
@@ -35,51 +27,15 @@ u64 Histogram::bucket(std::size_t i) const {
   return counts_[i].load(std::memory_order_relaxed);
 }
 
-double Histogram::approx_percentile(double p) const {
-  ANTAREX_REQUIRE(p >= 0.0 && p <= 100.0,
-                  "telemetry::Histogram: percentile outside [0,100]");
-  const u64 n = count();
-  if (n == 0) return 0.0;
-  const u64 rank = std::max<u64>(
-      1, static_cast<u64>(std::ceil(p / 100.0 * static_cast<double>(n))));
-  u64 seen = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    seen += counts_[i].load(std::memory_order_relaxed);
-    if (seen >= rank) {
-      const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-      return lo_ + (static_cast<double>(i) + 0.5) * width;
-    }
-  }
-  return hi_;
-}
-
-double Histogram::approx_quantile(double q) const {
-  ANTAREX_REQUIRE(q >= 0.0 && q <= 1.0,
-                  "telemetry::Histogram: quantile outside [0,1]");
-  const u64 n = count();
-  if (n == 0) return 0.0;
-  const double target =
-      std::clamp(q * static_cast<double>(n), 0.0, static_cast<double>(n));
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double c =
-        static_cast<double>(counts_[i].load(std::memory_order_relaxed));
-    if (c <= 0.0) continue;
-    if (cum + c >= target) {
-      // Linear interpolation inside the bucket: the bucket's mass is assumed
-      // uniformly spread over its value range.
-      const double frac = std::clamp((target - cum) / c, 0.0, 1.0);
-      return lo_ + (static_cast<double>(i) + frac) * width;
-    }
-    cum += c;
-  }
-  return hi_;
+antarex::Histogram Histogram::snapshot() const {
+  antarex::Histogram snap(lo_, hi_, counts_.size());
+  for (std::size_t i = 0; i < counts_.size(); ++i)
+    snap.add_to_bin(i, counts_[i].load(std::memory_order_relaxed));
+  return snap;
 }
 
 void Histogram::reset() {
   for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
 }
 

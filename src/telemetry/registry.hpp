@@ -1,5 +1,7 @@
 // The process-wide metric registry: named counters, gauges, fixed-bucket
-// histograms, windowed series, and the trace buffer.
+// histograms, windowed series, and the trace buffer. Histograms keep only
+// atomic buckets here; their quantiles are read through snapshots of the
+// one fixed-bin histogram in support/stats.
 //
 // Hot-path contract: instrument sites cache the reference returned by
 // counter()/gauge()/histogram() (the TELEMETRY_* macros do this with a
@@ -91,11 +93,12 @@ class Gauge {
   std::atomic<u64> updates_{0};
 };
 
-/// Fixed-range, fixed-bucket histogram (out-of-range values clamp to the
-/// edge buckets). Tracks sum/count for exact means; percentiles are bucket
-/// approximations (nearest-rank over bucket midpoints). Buckets and totals
-/// are atomics, so concurrent add() never tears; a snapshot taken mid-add
-/// may see the bucket before the total (observability skew, not corruption).
+/// Fixed-range, fixed-bucket histogram that any thread may add() to
+/// (out-of-range values clamp to the edge buckets). It holds only atomic
+/// buckets plus a running sum for exact means; every other read goes through
+/// snapshot(), a plain antarex::Histogram whose total is the sum of the
+/// buckets it loaded. Quantiles from one snapshot are therefore consistent
+/// with each other and with its count even while writers keep adding.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
@@ -106,24 +109,21 @@ class Histogram {
   double hi() const { return hi_; }
   std::size_t bins() const { return counts_.size(); }
   u64 bucket(std::size_t i) const;
-  u64 count() const { return count_.load(std::memory_order_relaxed); }
+  /// Relaxed loads of every bucket, as a single-writer histogram.
+  antarex::Histogram snapshot() const;
+  u64 count() const { return snapshot().count(); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
   double mean() const {
     const u64 n = count();
     return n ? sum() / static_cast<double>(n) : 0.0;
   }
-  /// Approximate percentile in [0,100]: midpoint of the nearest-rank bucket.
-  double approx_percentile(double p) const;
-  /// Approximate quantile in [0,1] with linear interpolation inside the
-  /// bucket (finer than approx_percentile for coarse histograms). This is
-  /// what the exporters publish as p50/p95/p99.
-  double approx_quantile(double q) const;
+  /// Approximate quantile in [0,1], interpolated inside the bucket.
+  double approx_quantile(double q) const { return snapshot().approx_quantile(q); }
   void reset();
 
  private:
   double lo_, hi_;
   std::vector<std::atomic<u64>> counts_;
-  std::atomic<u64> count_{0};
   std::atomic<double> sum_{0.0};
 };
 

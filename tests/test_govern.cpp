@@ -11,8 +11,10 @@
 
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
+#include "govern/sharded_cap.hpp"
 #include "nav/nav.hpp"
 #include "nav/server.hpp"
+#include "sharded_common.hpp"
 #include "support/rng.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -326,6 +328,41 @@ TEST_F(GovernTest, GovernedRunIsDeterministicAcrossPoolSizes) {
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
   EXPECT_NE(one.find("\"violations\":0"), std::string::npos);
+}
+
+// --- sharded cap coordinator --------------------------------------------------
+
+TEST_F(GovernTest, ShardedCapAttachesBeforeThePlantsFirstRun) {
+  constexpr std::size_t kNodes = 64;
+  constexpr std::size_t kShards = 4;
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.shards = kShards;
+  rtrm::ShardedCluster cluster(ccfg);
+  rtrm::ClusterBlueprint::exascale(23, kNodes).build(cluster);
+  double floor_w = 0.0;
+  for (std::size_t i = 0; i < kNodes; ++i) floor_w += cluster.node_floor_w(i);
+
+  ShardedCapConfig cfg;
+  cfg.cluster_cap_w = 1.5 * floor_w;
+  ShardedCapCoordinator coordinator(cluster, cfg);
+  coordinator.attach();  // no run call yet: attach() freezes the topology
+  rtrm::submit_job_mix(cluster, 23, 2 * kNodes);
+  cluster.run_for(20.0, 0.25);
+
+  EXPECT_GT(coordinator.stats().epochs, 0u);
+  EXPECT_GT(cluster.telemetry().jobs_completed, 0u);
+  const double eff_cap = cfg.cluster_cap_w * (1.0 - cfg.guard_fraction);
+  ASSERT_EQ(coordinator.shard_budgets_w().size(), kShards);
+  double shard_sum = 0.0;
+  for (const double b : coordinator.shard_budgets_w()) shard_sum += b;
+  EXPECT_NEAR(shard_sum, eff_cap, 1e-9 * eff_cap);
+  double node_sum = 0.0;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    if (cluster.node_failed(i)) continue;
+    EXPECT_GT(coordinator.node_budget_w(i), 0.0) << "node " << i;
+    node_sum += coordinator.node_budget_w(i);
+  }
+  EXPECT_NEAR(node_sum, eff_cap, 1e-9 * eff_cap);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Tests for antarex::monitor: the topic grammar, the sharded broker's
 // delivery order and drop accounting, the bounded-memory aggregation pieces
-// (sketch, retention ring, space-saving top-K), the anomaly detector's
+// (retention ring, space-saving top-K), the anomaly detector's
 // per-kind semantics on synthetic frames, ground-truth evaluation, and the
 // assembled fabric end-to-end on a small faulted cluster.
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "govern/coordinator.hpp"
 #include "monitor/monitor.hpp"
 #include "obs/policy.hpp"
+#include "sharded_common.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -185,33 +186,8 @@ TEST(TopK, HeavyHitterAlwaysSurvives) {
 }
 
 // --------------------------------------------------------------------------
-// QuantileSketch / RetentionRing
+// RetentionRing
 // --------------------------------------------------------------------------
-
-TEST(Sketch, QuantilesWithinOneBinWidth) {
-  QuantileSketch sketch(0.0, 100.0, 20);  // 5-unit bins
-  for (int i = 0; i < 100; ++i) sketch.add(i + 0.5);
-  EXPECT_EQ(sketch.count(), 100u);
-  EXPECT_NEAR(sketch.approx_quantile(0.5), 50.0, 5.0);
-  EXPECT_NEAR(sketch.approx_quantile(0.95), 95.0, 5.0);
-  EXPECT_LE(sketch.approx_quantile(0.5), sketch.approx_quantile(0.95));
-  // Clamping: out-of-range samples land in the edge bins, never lost.
-  sketch.add(-10.0);
-  sketch.add(500.0);
-  EXPECT_EQ(sketch.count(), 102u);
-  EXPECT_GE(sketch.approx_quantile(0.0), 0.0);
-  EXPECT_LE(sketch.approx_quantile(1.0), 100.0);
-}
-
-TEST(Sketch, MergeCombinesPopulations) {
-  QuantileSketch a(0.0, 10.0, 10), b(0.0, 10.0, 10);
-  for (int i = 0; i < 50; ++i) a.add(2.0);
-  for (int i = 0; i < 50; ++i) b.add(8.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 100u);
-  EXPECT_NEAR(a.approx_quantile(0.25), 2.5, 1.0);
-  EXPECT_NEAR(a.approx_quantile(0.75), 8.5, 1.0);
-}
 
 TEST(Ring, FoldsTenPushesIntoTheCoarserLevel) {
   RetentionRing ring(4);
@@ -683,6 +659,56 @@ TEST(Fabric, DownedNodesStopPublishing) {
   // Node 0 was silent for ~10 of ~29 sampling sweeps.
   EXPECT_LT(fabric.broker().published(), 4 * fabric.samples());
   EXPECT_GT(fabric.broker().published(), 3 * fabric.samples());
+}
+
+// --------------------------------------------------------------------------
+// Plant parity: one sampler over either engine
+// --------------------------------------------------------------------------
+
+constexpr std::size_t kParityNodes = 48;
+constexpr double kParityHorizonS = 120.0;
+constexpr u64 kParitySeed = 19;
+
+FabricConfig parity_fabric_config() {
+  FabricConfig cfg;
+  cfg.time_self = false;
+  return cfg;
+}
+
+std::string legacy_health() {
+  rtrm::Cluster cluster;
+  rtrm::ClusterBlueprint::exascale(kParitySeed, kParityNodes).build(cluster);
+  rtrm::submit_job_mix(cluster, kParitySeed, 2 * kParityNodes);
+  MonitorFabric fabric(parity_fabric_config());
+  fabric.attach(cluster);
+  fault::FaultInjector injector(
+      cluster,
+      rtrm::make_fault_schedule(kParityNodes, kParityHorizonS, kParitySeed));
+  cluster.run_for(kParityHorizonS, 0.25);
+  return fabric.health_json();
+}
+
+std::string sharded_health(std::size_t shards) {
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = shards;
+  rtrm::ShardedCluster cluster(cfg);
+  rtrm::ClusterBlueprint::exascale(kParitySeed, kParityNodes).build(cluster);
+  rtrm::submit_job_mix(cluster, kParitySeed, 2 * kParityNodes);
+  MonitorFabric fabric(parity_fabric_config());
+  fabric.attach(cluster);
+  fault::ShardFaultDriver driver(
+      cluster,
+      rtrm::make_fault_schedule(kParityNodes, kParityHorizonS, kParitySeed));
+  cluster.run_for(kParityHorizonS, 0.25);
+  return fabric.health_json();
+}
+
+TEST(Fabric, HealthJsonIsIdenticalOnLegacyAndShardedPlants) {
+  const std::string legacy = legacy_health();
+  // The faulted run must exercise the whole document, episodes included.
+  ASSERT_NE(legacy.find("\"episodes\":[{"), std::string::npos);
+  EXPECT_EQ(legacy, sharded_health(1));
+  EXPECT_EQ(legacy, sharded_health(4));
 }
 
 // --------------------------------------------------------------------------

@@ -243,17 +243,47 @@ TEST(GeometricMean, KnownValue) {
   EXPECT_THROW(geometric_mean({1.0, -1.0}), Error);
 }
 
-TEST(Histogram, BinningAndClamping) {
+TEST(Histogram, BinningQuantilesAndMerge) {
   Histogram h(0.0, 10.0, 10);
+  EXPECT_DOUBLE_EQ(h.approx_quantile(0.5), 0.0);  // empty reads 0
   h.add(0.5);
   h.add(9.99);
   h.add(-5.0);   // clamps to bin 0
   h.add(100.0);  // clamps to last bin
   EXPECT_EQ(h.bin_count(0), 2u);
   EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
+  EXPECT_EQ(h.count(), 4u);
   EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
   EXPECT_DOUBLE_EQ(h.bin_high(9), 10.0);
+  EXPECT_THROW(h.approx_quantile(1.5), Error);
+
+  // Quantiles interpolate inside the owning bin: error within one bin width.
+  Histogram q(0.0, 100.0, 20);  // 5-unit bins
+  for (int i = 0; i < 100; ++i) q.add(i + 0.5);
+  EXPECT_EQ(q.count(), 100u);
+  EXPECT_NEAR(q.approx_quantile(0.5), 50.0, 5.0);
+  EXPECT_NEAR(q.approx_quantile(0.95), 95.0, 5.0);
+  EXPECT_LE(q.approx_quantile(0.5), q.approx_quantile(0.95));
+  // Out-of-range samples land in the edge bins, never lost or out of range.
+  q.add(-10.0);
+  q.add(500.0);
+  EXPECT_EQ(q.count(), 102u);
+  EXPECT_GE(q.approx_quantile(0.0), 0.0);
+  EXPECT_LE(q.approx_quantile(1.0), 100.0);
+
+  // Merge combines populations; only identically binned histograms merge.
+  Histogram a(0.0, 10.0, 10), b(0.0, 10.0, 10);
+  for (int i = 0; i < 50; ++i) a.add(2.0);
+  for (int i = 0; i < 50; ++i) b.add(8.0);
+  a.merge(b);
+  EXPECT_EQ(a.count(), 100u);
+  EXPECT_NEAR(a.approx_quantile(0.25), 2.5, 1.0);
+  EXPECT_NEAR(a.approx_quantile(0.75), 8.5, 1.0);
+  EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 20)), Error);
+  EXPECT_THROW(a.merge(Histogram(0.0, 20.0, 10)), Error);
+  a.clear();
+  EXPECT_EQ(a.count(), 0u);
+  EXPECT_DOUBLE_EQ(a.approx_quantile(0.75), 0.0);
 }
 
 // --------------------------------------------------------------------------
@@ -361,6 +391,25 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("1 2"), Error);
   EXPECT_THROW(parse_json("\"unterminated"), Error);
   EXPECT_THROW(parse_json("nulL"), Error);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string doc;
+    for (std::size_t i = 1; i < depth; ++i) doc += "{\"k\":";
+    return doc + "{}" + std::string(depth - 1, '}');
+  };
+  // Hostile depth throws instead of overflowing the stack.
+  EXPECT_THROW(parse_json(std::string(100000, '[')), Error);
+  EXPECT_THROW(parse_json(arrays(kJsonMaxDepth + 1)), Error);
+  EXPECT_THROW(parse_json(objects(kJsonMaxDepth + 1)), Error);
+  // Up to the limit, deep documents still parse.
+  EXPECT_TRUE(parse_json(arrays(kJsonMaxDepth - 1)).is_array());
+  EXPECT_TRUE(parse_json(arrays(kJsonMaxDepth)).is_array());
+  EXPECT_TRUE(parse_json(objects(kJsonMaxDepth)).is_object());
 }
 
 TEST(SimClock, AdvancesMonotonically) {

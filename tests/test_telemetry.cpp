@@ -211,7 +211,7 @@ TEST_F(TelemetryTest, CounterGaugeHistogramBasics) {
   EXPECT_EQ(h.bucket(1), 2u);
   EXPECT_EQ(h.bucket(9), 2u);  // 9.5 and the clamped 42.0
   EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.5 + 1.5 + 9.5 + 42.0 - 3.0);
-  EXPECT_DOUBLE_EQ(h.approx_percentile(50), 1.5);  // midpoint of bucket 1
+  EXPECT_DOUBLE_EQ(h.approx_quantile(0.50), 1.5);  // halfway into bucket 1
 }
 
 TEST_F(TelemetryTest, DisabledRegistryLeavesCountersUntouched) {
