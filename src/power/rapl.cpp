@@ -1,7 +1,5 @@
 #include "power/rapl.hpp"
 
-#include <cmath>
-
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::power {
@@ -20,12 +18,9 @@ void RaplDomain::accumulate(double power_w, double dt_s) {
 }
 
 u32 RaplDomain::counter_uj() const {
-  const double uj = (total_j_ + reading_offset_j_) * 1e6;
   // Wraps every 2^32 uJ (~4295 J), as the real 32-bit MSR does. A negative
   // glitched reading folds into the wrap, exactly as MSR arithmetic would.
-  const double wrapped = std::fmod(std::fmod(uj, 4294967296.0) + 4294967296.0,
-                                   4294967296.0);
-  return static_cast<u32>(wrapped);
+  return wrap_uj((total_j_ + reading_offset_j_) * 1e6);
 }
 
 double RaplDomain::delta_j(u32 before, u32 after) {

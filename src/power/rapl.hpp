@@ -5,8 +5,17 @@
 // consumes (energy, time) samples. This class reproduces the RAPL interface
 // quirks that client code must handle: a 32-bit counter in micro-joule-scale
 // units that wraps around, sampled by difference.
+//
+// Wrap contract: a reading of `uj` micro-joules (glitch offset included, so it
+// may be negative) shows as wrap_uj(uj), which is bit-for-bit
+// static_cast<u32>(fmod(fmod(uj, 2^32) + 2^32, 2^32)) for every finite uj,
+// computed with one trunc and two compares because the monitor sweep wraps
+// every device's counter every period. Both plants (the per-object
+// rtrm::Cluster through counter_uj(), rtrm::ShardedCluster through its SoA
+// arrays) read through this one function, so their counters cannot drift.
 #pragma once
 
+#include <cmath>
 #include <string>
 
 #include "support/common.hpp"
@@ -23,6 +32,22 @@ class RaplDomain {
   /// Raw wrapping counter in micro-joules (32-bit, like MSR_PKG_ENERGY_STATUS
   /// at the default 15.3 uJ unit scaled to 1 uJ for simplicity).
   u32 counter_uj() const;
+
+  /// Fold a micro-joule reading into the 32-bit counter range (see the wrap
+  /// contract above).
+  static u32 wrap_uj(double uj) {
+    constexpr double kWrap = 4294967296.0;  // 2^32
+    // fmod(uj, 2^32), exactly: uj * 2^-32, trunc and the product are exact,
+    // and for |uj| >= 2^32 the subtracted multiple lies within a factor of
+    // two of uj (Sterbenz), so the difference is exact too.
+    const double r = uj - std::trunc(uj * (1.0 / kWrap)) * kWrap;
+    // Keep the reference's rounding step: r + 2^32 rounds, and can reach
+    // 2^32 (tiny negative r) or 2^33 (r just below 2^32), hence two folds.
+    double s = r + kWrap;
+    if (s >= kWrap) s -= kWrap;
+    if (s >= kWrap) s -= kWrap;
+    return static_cast<u32>(s);
+  }
 
   /// Wrap-aware difference between two counter reads, in joules.
   static double delta_j(u32 before, u32 after);

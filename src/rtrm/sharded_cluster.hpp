@@ -25,6 +25,7 @@
 #include <deque>
 #include <functional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -229,11 +230,14 @@ class ShardedCluster {
   u64 device_interrupted_jobs(std::size_t node, std::size_t dev) const {
     return dev_interrupted_[dev_index(node, dev)];
   }
-  double device_progress_rate_ups(std::size_t node, std::size_t dev) const;
   double device_energy_j(std::size_t node, std::size_t dev);
   /// Wrapping 32-bit RAPL counter view (glitch offset applied), identical to
   /// power::RaplDomain::counter_uj.
   u32 device_counter_uj(std::size_t node, std::size_t dev);
+  /// Read every device of `node` in one pass into out[0, device count), with
+  /// one bounds check per node. Like device_counter_uj it catches parked
+  /// energy up without waking anything.
+  void read_node(std::size_t node, std::span<DeviceReading> out);
 
   // --- scale diagnostics ----------------------------------------------------
   /// Plant steps taken so far.
@@ -270,6 +274,9 @@ class ShardedCluster {
   const power::OperatingPoint& eff_op(u32 d) const {
     return specs_[dev_spec_[d]].dvfs.at(dev_throttle_s_[d] > 0.0 ? 0
                                                                  : dev_op_[d]);
+  }
+  u32 dev_counter_uj(u32 d) const {
+    return power::RaplDomain::wrap_uj((dev_energy_j_[d] + dev_offset_j_[d]) * 1e6);
   }
   double fresh_device_power_w(u32 d) const;
   double fresh_node_power_w(std::size_t node) const;

@@ -150,6 +150,36 @@ TEST(Broker, FullQueueDropsAreCountedPerShardAndInTelemetry) {
   telemetry::set_enabled(false);
 }
 
+TEST(Broker, EveryDropOnAShardReachesItsTelemetryCounter) {
+  telemetry::set_enabled(true);
+  telemetry::Registry::global().reset();
+  BrokerConfig cfg;
+  cfg.queue_capacity = 4;
+  constexpr u16 kShard = 47;
+  constexpr u64 kDrops = 1000;
+  Broker broker(48, cfg);
+  for (u64 i = 0; i < cfg.queue_capacity + kDrops; ++i)
+    broker.publish(make_frame(1.0, 0, kShard, 100, 50, 1, 1));
+  EXPECT_EQ(broker.dropped(kShard), kDrops);
+  EXPECT_EQ(broker.total_dropped(), kDrops);
+  u64 counted = 0;
+  for (const auto& [name, counter] : telemetry::Registry::global().drop_counters()) {
+    if (name == "monitor.broker.dropped.cluster/47") counted = counter->value();
+    // Shards that never dropped register no counter at all.
+    EXPECT_NE(name, "monitor.broker.dropped.cluster/46");
+  }
+  EXPECT_EQ(counted, kDrops);
+  // The cached counter survives a registry reset (objects stay alive).
+  telemetry::Registry::global().reset();
+  broker.publish(make_frame(1.0, 0, kShard, 100, 50, 1, 1));
+  EXPECT_EQ(telemetry::Registry::global()
+                .drop_counter("monitor.broker.dropped.cluster/47")
+                .value(),
+            1u);
+  EXPECT_EQ(broker.dropped(kShard), kDrops + 1);
+  telemetry::set_enabled(false);
+}
+
 // --------------------------------------------------------------------------
 // TopK (SpaceSaving)
 // --------------------------------------------------------------------------

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
 
 #include "power/cooling.hpp"
 #include "power/dvfs.hpp"
@@ -284,6 +288,74 @@ TEST(Rapl, CounterWrapsLikeThe32BitMsr) {
   const u32 after = r.counter_uj();
   EXPECT_LT(after, before);  // raw counter wrapped
   EXPECT_NEAR(RaplDomain::delta_j(before, after), 200.0, 1e-3);
+}
+
+// The formula counter_uj() was first written with. wrap_uj replaces it and
+// must agree on every finite input, bit for bit.
+u32 fmod_wrap_reference(double uj) {
+  return static_cast<u32>(
+      std::fmod(std::fmod(uj, 4294967296.0) + 4294967296.0, 4294967296.0));
+}
+
+TEST(Rapl, WrapIsBitIdenticalToFmodReference) {
+  constexpr double kWrap = 4294967296.0;  // 2^32
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> cases = {
+      0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e-300, -1e-300,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+      // Just below an integer: r + 2^32 rounds up onto the next integer.
+      std::nextafter(5.0, 0.0), std::nextafter(4294967295.0, 0.0),
+      -std::nextafter(5.0, 0.0),
+      // r just below 2^32: r + 2^32 rounds to 2^33 (the second fold).
+      std::nextafter(kWrap, 0.0), std::nextafter(kWrap, 0.0) - 1e-6,
+      -std::nextafter(kWrap, 0.0),
+      // Magnitudes >= 2^53 (no fraction) and >= 2^84 (multiples of 2^32).
+      std::ldexp(1.0, 53), std::ldexp(1.0, 53) + 2.0, std::ldexp(1.5, 60),
+      -std::ldexp(1.0, 53) - 2.0, std::ldexp(1.0, 84),
+      std::nextafter(std::ldexp(1.0, 84), 0.0),
+      std::nextafter(std::ldexp(1.0, 84), kInf), -std::ldexp(1.0, 84),
+      1e300, -1e300};
+  // k * 2^32 and its neighbours one ulp either side, both signs.
+  for (const double k : {1.0, 2.0, 3.0, 1000.0, 1048576.0, std::ldexp(1.0, 40),
+                         std::ldexp(1.0, 51) - 1.0, std::ldexp(1.0, 52)}) {
+    for (const double sign : {1.0, -1.0}) {
+      const double base = sign * k * kWrap;
+      cases.push_back(base);
+      cases.push_back(std::nextafter(base, kInf));
+      cases.push_back(std::nextafter(base, -kInf));
+    }
+  }
+  for (const double uj : cases)
+    EXPECT_EQ(RaplDomain::wrap_uj(uj), fmod_wrap_reference(uj))
+        << "uj=" << std::hexfloat << uj;
+
+  // 10^6 seeded doubles: random mantissa and sign, exponent spread so that
+  // most land in the interesting [2^-30, 2^90) band, plus raw finite bit
+  // patterns across the whole exponent range.
+  std::mt19937_64 rng(20261017);
+  std::uniform_int_distribution<int> exponent(-30, 90);
+  std::size_t mismatches = 0;
+  double first_bad = 0.0;
+  for (int i = 0; i < 1000000; ++i) {
+    double uj;
+    if (i % 4 == 3) {
+      do {
+        const u64 bits = rng();
+        std::memcpy(&uj, &bits, sizeof uj);
+      } while (!std::isfinite(uj));
+    } else {
+      const double mantissa =
+          1.0 + static_cast<double>(rng() >> 12) * std::ldexp(1.0, -52);
+      uj = std::ldexp(mantissa, exponent(rng)) * ((rng() & 1) ? -1.0 : 1.0);
+    }
+    if (RaplDomain::wrap_uj(uj) != fmod_wrap_reference(uj) &&
+        mismatches++ == 0)
+      first_bad = uj;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first mismatch at uj=" << std::hexfloat
+                            << first_bad;
 }
 
 TEST(Rapl, RejectsNegativeInputs) {

@@ -8,7 +8,9 @@
 // sharded path to it across refactors, mirroring fault_replay_*.
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -147,6 +149,73 @@ TEST(ShardedDifferential, OddShardCountsMatchToo) {
     EXPECT_EQ(reference, sharded_run(29u, sc, shards, 2))
         << "shards=" << shards;
   }
+}
+
+// --------------------------------------------------------------------------
+// RAPL readout: both plants wrap glitched counters through the one
+// power::RaplDomain::wrap_uj, and read_node returns what the per-device
+// accessors do.
+// --------------------------------------------------------------------------
+
+TEST(ShardedReadout, CountersMatchLegacyRaplAfterGlitchesAndWrap) {
+  constexpr u64 kSeed = 7u;
+  Cluster legacy;
+  ClusterBlueprint::exascale(kSeed, kNodes).build(legacy);
+  ShardedClusterConfig cfg;
+  cfg.shards = 4;
+  ShardedCluster sharded(cfg);
+  ClusterBlueprint::exascale(kSeed, kNodes).build(sharded);
+  submit_job_mix(legacy, kSeed, 4 * kJobs);
+  submit_job_mix(sharded, kSeed, 4 * kJobs);
+
+  // Glitch offsets in joules: positive, negative (below zero total, so the
+  // reading itself goes negative), and large enough that uj >= 2^53.
+  const double kOffsets[] = {1234.567, -987.25, -5.0e4, 3.3e9, -1.0e12, 0.1};
+  auto glitch = [&](std::size_t round) {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const std::size_t d = (i + round) % legacy.node_device_count(i);
+      const double j = kOffsets[(i + round) % std::size(kOffsets)];
+      legacy.nodes()[i].device(d).rapl().set_reading_offset_j(j);
+      sharded.set_reading_offset_j(i, d, j);
+    }
+  };
+  glitch(0);
+  legacy.run_for(200.0, kDt);
+  sharded.run_for(200.0, kDt);
+  glitch(1);
+  legacy.run_until_idle(kIdleLimit, kDt);
+  sharded.run_until_idle(kIdleLimit, kDt);
+  // Idle long enough for devices to park: reads must catch their energy up.
+  legacy.run_for(600.0, kDt);
+  sharded.run_for(600.0, kDt);
+  ASSERT_LT(sharded.full_device_steps(),
+            sharded.steps() * sharded.device_count());
+
+  std::size_t wrapped = 0;
+  std::vector<DeviceReading> want(8), got(8);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    const std::size_t n_dev = legacy.node_device_count(i);
+    ASSERT_EQ(n_dev, sharded.node_device_count(i));
+    legacy.read_node(i, want);
+    sharded.read_node(i, got);
+    for (std::size_t d = 0; d < n_dev; ++d) {
+      const power::RaplDomain& rapl = legacy.nodes()[i].device(d).rapl();
+      if (rapl.total_j() * 1e6 >= 4294967296.0) ++wrapped;
+      EXPECT_EQ(sharded.device_counter_uj(i, d), rapl.counter_uj())
+          << "node " << i << " dev " << d;
+      EXPECT_EQ(got[d].counter_uj, want[d].counter_uj);
+      EXPECT_EQ(got[d].busy, want[d].busy);
+      EXPECT_EQ(got[d].temperature_c, want[d].temperature_c);
+      EXPECT_EQ(got[d].progress_ups, want[d].progress_ups);
+      EXPECT_EQ(got[d].counter_uj, sharded.device_counter_uj(i, d));
+      EXPECT_EQ(got[d].busy, sharded.device_busy(i, d));
+      EXPECT_EQ(got[d].temperature_c, sharded.device_temperature_c(i, d));
+    }
+  }
+  EXPECT_GT(wrapped, 0u) << "the run never wrapped a counter";
+  EXPECT_THROW(sharded.read_node(kNodes, got), Error);
+  EXPECT_THROW(sharded.read_node(0, std::span<DeviceReading>(got.data(), 0)),
+               Error);
 }
 
 // --------------------------------------------------------------------------
