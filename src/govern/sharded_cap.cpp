@@ -113,30 +113,29 @@ void ShardedCapCoordinator::renegotiate() {
   const double eff_cap = cfg_.cluster_cap_w * (1.0 - cfg_.guard_fraction);
 
   // Pass 1: per-node floors and demand weights, aggregated per shard.
-  // Scratch lives in members: fleet-scale runs renegotiate every epoch.
-  floor_w_.assign(n, 0.0);
-  weight_.assign(n, 0.0);
-  shard_floor_.assign(n_shards, 0.0);
-  shard_weight_.assign(n_shards, 0.0);
+  std::vector<double> floor_w(n, 0.0);
+  std::vector<double> weight(n, 0.0);
+  std::vector<double> shard_floor(n_shards, 0.0);
+  std::vector<double> shard_weight(n_shards, 0.0);
   double floor_total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     if (cluster_.node_failed(i)) continue;  // dead: zero budget
-    floor_w_[i] = cluster_.node_floor_w(i);
-    const double demand = std::max(node_demand_w_[i], floor_w_[i]);
-    weight_[i] = std::pow(demand, cfg_.fairness_alpha);
+    floor_w[i] = cluster_.node_floor_w(i);
+    const double demand = std::max(node_demand_w_[i], floor_w[i]);
+    weight[i] = std::pow(demand, cfg_.fairness_alpha);
     const std::size_t s = cluster_.shard_of_node(i);
-    shard_floor_[s] += floor_w_[i];
-    shard_weight_[s] += weight_[i];
-    floor_total += floor_w_[i];
+    shard_floor[s] += floor_w[i];
+    shard_weight[s] += weight[i];
+    floor_total += floor_w[i];
   }
   if (floor_total <= 0.0) return;  // every node down: nothing draws power
 
   if (eff_cap <= floor_total) {
     // Infeasible even at idle: scale the floors; controllers pin P-state 0.
     for (std::size_t i = 0; i < n; ++i)
-      budgets_w_[i] = eff_cap * floor_w_[i] / floor_total;
+      budgets_w_[i] = eff_cap * floor_w[i] / floor_total;
     for (std::size_t s = 0; s < n_shards; ++s)
-      shard_budget_w_[s] = eff_cap * shard_floor_[s] / floor_total;
+      shard_budget_w_[s] = eff_cap * shard_floor[s] / floor_total;
     return;
   }
 
@@ -144,21 +143,21 @@ void ShardedCapCoordinator::renegotiate() {
   // weight, then within each shard across its alive nodes the same way.
   const double distributable = eff_cap - floor_total;
   double weight_total = 0.0;
-  for (std::size_t s = 0; s < n_shards; ++s) weight_total += shard_weight_[s];
+  for (std::size_t s = 0; s < n_shards; ++s) weight_total += shard_weight[s];
   for (std::size_t s = 0; s < n_shards; ++s) {
     const double share =
-        weight_total > 0.0 ? shard_weight_[s] / weight_total
+        weight_total > 0.0 ? shard_weight[s] / weight_total
                            : 1.0 / static_cast<double>(n_shards);
     const double shard_slice = distributable * share;
-    shard_budget_w_[s] = shard_floor_[s] + shard_slice;
+    shard_budget_w_[s] = shard_floor[s] + shard_slice;
     const auto [first, last] = cluster_.shard_node_range(s);
     for (std::size_t i = first; i < last; ++i) {
       if (cluster_.node_failed(i)) continue;
       const double node_share =
-          shard_weight_[s] > 0.0
-              ? weight_[i] / shard_weight_[s]
+          shard_weight[s] > 0.0
+              ? weight[i] / shard_weight[s]
               : (last > first ? 1.0 / static_cast<double>(last - first) : 0.0);
-      budgets_w_[i] = floor_w_[i] + shard_slice * node_share;
+      budgets_w_[i] = floor_w[i] + shard_slice * node_share;
     }
   }
 }

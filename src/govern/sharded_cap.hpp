@@ -78,11 +78,6 @@ class ShardedCapCoordinator {
   std::vector<double> shard_budget_w_;   ///< per shard
   std::vector<double> node_energy_mark_; ///< energy at the last epoch close
   std::vector<double> node_demand_w_;    ///< mean draw over the last epoch
-  // renegotiate() scratch, reused across calls (no per-epoch allocation).
-  std::vector<double> floor_w_;          ///< per node
-  std::vector<double> weight_;           ///< per node
-  std::vector<double> shard_floor_;      ///< per shard
-  std::vector<double> shard_weight_;     ///< per shard
   double epoch_j_ = 0.0;
   double epoch_t_ = 0.0;
   double last_epoch_mean_w_ = 0.0;

@@ -12,7 +12,6 @@ Broker::Broker(std::size_t shards, BrokerConfig cfg) : cfg_(cfg) {
   ANTAREX_REQUIRE(cfg_.queue_capacity > 0, "Broker: zero queue capacity");
   queues_.resize(shards);
   dropped_.assign(shards, 0);
-  drop_counters_.assign(shards, nullptr);
   for (auto& q : queues_) q.reserve(cfg_.queue_capacity);
 }
 
@@ -31,16 +30,11 @@ void Broker::publish(const MetricFrame& frame) {
     ++dropped_[frame.shard];
     // Saturation must be observable from outside the process too: mirror the
     // per-shard count into a telemetry drop counter (the metrics-JSON
-    // exporter surfaces all of them under "drops"). The counter is looked up
-    // on the shard's first drop only — a saturated broker should not pay a
-    // format and a registry lookup per frame — and registry counters live as
-    // long as the registry, so the cached pointer stays valid.
-    telemetry::Counter*& counter = drop_counters_[frame.shard];
-    if (counter == nullptr)
-      counter = &telemetry::Registry::global().drop_counter(
-          format("monitor.broker.dropped.cluster/%u",
-                 static_cast<unsigned>(frame.shard)));
-    counter->add(1);
+    // exporter surfaces all of them under "drops").
+    telemetry::Registry::global()
+        .drop_counter(format("monitor.broker.dropped.cluster/%u",
+                             static_cast<unsigned>(frame.shard)))
+        .add(1);
     return;
   }
   q.push_back(frame);

@@ -27,10 +27,6 @@
 #include "monitor/topic.hpp"
 #include "support/common.hpp"
 
-namespace antarex::telemetry {
-class Counter;
-}
-
 namespace antarex::monitor {
 
 struct BrokerConfig {
@@ -77,9 +73,6 @@ class Broker {
   BrokerConfig cfg_;
   std::vector<std::vector<MetricFrame>> queues_;  ///< one bounded FIFO/shard
   std::vector<u64> dropped_;
-  /// Per-shard telemetry drop counter, created on the shard's first drop so
-  /// shards that never drop export no zero-valued counter.
-  std::vector<telemetry::Counter*> drop_counters_;
   std::vector<Subscription> subs_;
   u64 published_ = 0;
   u64 delivered_ = 0;

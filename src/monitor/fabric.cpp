@@ -33,14 +33,11 @@ void MonitorFabric::attach_plant(Plant& plant) {
 
   dev_base_.clear();
   std::size_t devices = 0;
-  std::size_t widest = 0;
   for (std::size_t i = 0; i < plant.node_count(); ++i) {
     dev_base_.push_back(devices);
     devices += plant.node_device_count(i);
-    widest = std::max(widest, plant.node_device_count(i));
   }
   prev_uj_.assign(devices, 0);
-  reading_.assign(widest, rtrm::DeviceReading{});
 
   // Registration order fixes delivery order: aggregate, then detect.
   broker_.subscribe("#", [this](const MetricFrame& f) { aggregator_.ingest(f); });
@@ -59,11 +56,9 @@ void MonitorFabric::on_step(Plant& plant, double now_s) {
 
   if (!primed_) {
     // First sweep: record RAPL readings only; a delta needs two of them.
-    for (std::size_t i = 0; i < plant.node_count(); ++i) {
-      plant.read_node(i, reading_);
+    for (std::size_t i = 0; i < plant.node_count(); ++i)
       for (std::size_t d = 0; d < plant.node_device_count(i); ++d)
-        prev_uj_[dev_base_[i] + d] = reading_[d].counter_uj;
-    }
+        prev_uj_[dev_base_[i] + d] = plant.device_counter_uj(i, d);
     primed_ = true;
   } else {
     sample(plant, now_s, now_s - last_sample_s_);
@@ -83,19 +78,18 @@ void MonitorFabric::sample(Plant& plant, double now_s, double elapsed_s) {
   ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
   for (std::size_t i = 0; i < plant.node_count(); ++i) {
     const std::size_t n_dev = plant.node_device_count(i);
-    plant.read_node(i, reading_);
-    u32* prev = prev_uj_.data() + dev_base_[i];
     double energy_j = 0.0;
     double temp_c = 0.0;
     double progress = 0.0;
     u16 busy = 0;
     for (std::size_t d = 0; d < n_dev; ++d) {
-      const rtrm::DeviceReading& r = reading_[d];
-      energy_j += power::RaplDomain::delta_j(prev[d], r.counter_uj);
-      prev[d] = r.counter_uj;
-      temp_c = std::max(temp_c, r.temperature_c);
-      progress += r.progress_ups;
-      if (r.busy) ++busy;
+      const u32 cur = plant.device_counter_uj(i, d);
+      u32& prev = prev_uj_[dev_base_[i] + d];
+      energy_j += power::RaplDomain::delta_j(prev, cur);
+      prev = cur;
+      temp_c = std::max(temp_c, plant.device_temperature_c(i, d));
+      progress += plant.device_progress_rate_ups(i, d);
+      if (plant.device_busy(i, d)) ++busy;
     }
     // A downed node's sampler is down with it: readings refreshed (above),
     // nothing published.
@@ -137,8 +131,7 @@ std::size_t MonitorFabric::approx_bytes() const {
 }
 
 std::size_t MonitorFabric::sampler_bytes() const {
-  return prev_uj_.size() * sizeof(u32) + dev_base_.size() * sizeof(std::size_t) +
-         reading_.size() * sizeof(rtrm::DeviceReading);
+  return prev_uj_.size() * sizeof(u32) + dev_base_.size() * sizeof(std::size_t);
 }
 
 std::string MonitorFabric::health_json() const {

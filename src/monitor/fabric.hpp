@@ -7,19 +7,18 @@
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
 //
 // attach() installs one step observer. There is one sampler, a private
-// template over the plant: both engines implement the same one-pass node
-// read, read_node(node, span<DeviceReading>), so frames, episodes and
-// health_json() are byte-identical on either. Every sample_period_s of
-// simulated time it samples all alive nodes — power from RAPL counter
-// *deltas* (what a real out-of-band sampler reads, glitches included),
-// hottest-device temperature, utilization, and the observable progress
-// rate — publishes one MetricFrame per node, drains the broker, and rolls
-// the aggregation step.
+// template over the plant: both engines expose the same per-node/per-device
+// read accessors, so frames, episodes and health_json() are byte-identical
+// on either. Every sample_period_s of simulated time it samples all alive
+// nodes — power from RAPL counter *deltas* (what a real out-of-band sampler
+// reads, glitches included), hottest-device temperature, utilization, and
+// the observable progress rate — publishes one MetricFrame per node, drains
+// the broker, and rolls the aggregation step.
 //
-// The per-node read is the sweep's hot loop (every device of every node,
-// every period), so it is one call per node with a single bounds check,
-// filling a reused DeviceReading buffer; the RAPL wrap inside it is
-// power::RaplDomain::wrap_uj, which calls no fmod.
+// The per-device reads are the sweep's hot loop (every device of every node,
+// every period). ShardedCluster defines the four the sampler calls inline,
+// and its counter read wraps through power::RaplDomain::wrap_uj, which calls
+// no fmod.
 // Everything runs on the simulation thread; results are byte-identical at
 // any exec worker count.
 //
@@ -112,7 +111,7 @@ class MonitorFabric {
 
  private:
   // The sampler, written once over the plant: Plant is rtrm::Cluster or
-  // rtrm::ShardedCluster (same node accessors and read_node).
+  // rtrm::ShardedCluster (same per-node/per-device read accessors).
   template <typename Plant>
   void attach_plant(Plant& plant);
   template <typename Plant>
@@ -132,7 +131,6 @@ class MonitorFabric {
   double last_sample_s_ = 0.0;
   std::vector<u32> prev_uj_;     ///< per-device previous RAPL reading
   std::vector<std::size_t> dev_base_;  ///< node -> first index in prev_uj_
-  std::vector<rtrm::DeviceReading> reading_;  ///< one node's read (reused)
   u64 samples_ = 0;
   double self_s_ = 0.0;
 };

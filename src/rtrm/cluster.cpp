@@ -22,16 +22,6 @@ Node& Cluster::add_node(Node node) {
   return nodes_.back();
 }
 
-void Cluster::read_node(std::size_t node, std::span<DeviceReading> out) const {
-  const Node& n = nodes_.at(node);
-  ANTAREX_REQUIRE(out.size() >= n.device_count(), "Cluster: read_node buffer too small");
-  for (std::size_t d = 0; d < n.device_count(); ++d) {
-    const Device& dev = n.device(d);
-    out[d] = DeviceReading{dev.rapl().counter_uj(), dev.busy(), dev.temperature_c(),
-                           dev.progress_rate_ups()};
-  }
-}
-
 void Cluster::fail_node(std::size_t i) {
   ANTAREX_REQUIRE(i < nodes_.size(), "Cluster: node index out of range");
   if (nodes_[i].failed()) return;

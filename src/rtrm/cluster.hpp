@@ -7,7 +7,6 @@
 
 #include <functional>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "power/cooling.hpp"
@@ -44,14 +43,6 @@ struct ClusterTelemetry {
   u64 jobs_failed = 0;  ///< jobs that exhausted their retry budget
 };
 
-/// One device as an out-of-band sampler sees it (monitor::MonitorFabric).
-struct DeviceReading {
-  u32 counter_uj = 0;         ///< wrapping RAPL counter, glitch offset applied
-  bool busy = false;
-  double temperature_c = 0.0;
-  double progress_ups = 0.0;  ///< work units per second; 0 while idle
-};
-
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config = {});
@@ -70,8 +61,18 @@ class Cluster {
   double node_base_power_w(std::size_t node) const {
     return nodes_[node].base_power_w();
   }
-  /// Read every device of `node` in one pass into out[0, device count).
-  void read_node(std::size_t node, std::span<DeviceReading> out) const;
+  u32 device_counter_uj(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).rapl().counter_uj();
+  }
+  double device_temperature_c(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).temperature_c();
+  }
+  double device_progress_rate_ups(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).progress_rate_ups();
+  }
+  bool device_busy(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).busy();
+  }
 
   Dispatcher& dispatcher() { return dispatcher_; }
   const Dispatcher& dispatcher() const { return dispatcher_; }

@@ -1022,28 +1022,6 @@ double ShardedCluster::device_energy_j(std::size_t node, std::size_t dev) {
   return dev_energy_j_[d];
 }
 
-u32 ShardedCluster::device_counter_uj(std::size_t node, std::size_t dev) {
-  const u32 d = dev_index(node, dev);
-  catch_up_device(d);
-  return dev_counter_uj(d);
-}
-
-void ShardedCluster::read_node(std::size_t node, std::span<DeviceReading> out) {
-  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
-  const u32 begin = node_dev_begin_[node];
-  const u32 count = node_dev_count_[node];
-  ANTAREX_REQUIRE(out.size() >= count, "ShardedCluster: read_node buffer too small");
-  for (u32 k = 0; k < count; ++k) {
-    const u32 d = begin + k;
-    if (dev_upto_[d] != steps_done_) catch_up_device(d);
-    const bool busy = dev_units_[d] > 0.0;
-    const double progress =
-        busy ? 1.0 / (dev_wl_[d].execution_time_s(eff_op(d)) * dev_slowdown_[d])
-             : 0.0;
-    out[k] = DeviceReading{dev_counter_uj(d), busy, dev_temp_[d], progress};
-  }
-}
-
 u64 ShardedCluster::full_device_steps() const {
   u64 total = 0;
   for (const Shard& sh : shards_) total += sh.full_steps;

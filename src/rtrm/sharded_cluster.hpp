@@ -25,7 +25,6 @@
 #include <deque>
 #include <functional>
 #include <set>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -230,14 +229,22 @@ class ShardedCluster {
   u64 device_interrupted_jobs(std::size_t node, std::size_t dev) const {
     return dev_interrupted_[dev_index(node, dev)];
   }
+  /// Work units per second the device makes right now; 0 while idle.
+  double device_progress_rate_ups(std::size_t node, std::size_t dev) const {
+    const u32 d = dev_index(node, dev);
+    if (!(dev_units_[d] > 0.0)) return 0.0;
+    return 1.0 / (dev_wl_[d].execution_time_s(eff_op(d)) * dev_slowdown_[d]);
+  }
   double device_energy_j(std::size_t node, std::size_t dev);
   /// Wrapping 32-bit RAPL counter view (glitch offset applied), identical to
-  /// power::RaplDomain::counter_uj.
-  u32 device_counter_uj(std::size_t node, std::size_t dev);
-  /// Read every device of `node` in one pass into out[0, device count), with
-  /// one bounds check per node. Like device_counter_uj it catches parked
-  /// energy up without waking anything.
-  void read_node(std::size_t node, std::span<DeviceReading> out);
+  /// power::RaplDomain::counter_uj. Inline because the monitor sweep reads it
+  /// for every device every period; the catch-up test skips the out-of-line
+  /// call for devices that are already current.
+  u32 device_counter_uj(std::size_t node, std::size_t dev) {
+    const u32 d = dev_index(node, dev);
+    if (dev_upto_[d] != steps_done_) catch_up_device(d);
+    return dev_counter_uj(d);
+  }
 
   // --- scale diagnostics ----------------------------------------------------
   /// Plant steps taken so far.

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <iterator>
 #include <optional>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -153,8 +152,7 @@ TEST(ShardedDifferential, OddShardCountsMatchToo) {
 
 // --------------------------------------------------------------------------
 // RAPL readout: both plants wrap glitched counters through the one
-// power::RaplDomain::wrap_uj, and read_node returns what the per-device
-// accessors do.
+// power::RaplDomain::wrap_uj, and the sampler's per-device reads agree.
 // --------------------------------------------------------------------------
 
 TEST(ShardedReadout, CountersMatchLegacyRaplAfterGlitchesAndWrap) {
@@ -192,30 +190,25 @@ TEST(ShardedReadout, CountersMatchLegacyRaplAfterGlitchesAndWrap) {
             sharded.steps() * sharded.device_count());
 
   std::size_t wrapped = 0;
-  std::vector<DeviceReading> want(8), got(8);
   for (std::size_t i = 0; i < kNodes; ++i) {
     const std::size_t n_dev = legacy.node_device_count(i);
     ASSERT_EQ(n_dev, sharded.node_device_count(i));
-    legacy.read_node(i, want);
-    sharded.read_node(i, got);
     for (std::size_t d = 0; d < n_dev; ++d) {
       const power::RaplDomain& rapl = legacy.nodes()[i].device(d).rapl();
       if (rapl.total_j() * 1e6 >= 4294967296.0) ++wrapped;
       EXPECT_EQ(sharded.device_counter_uj(i, d), rapl.counter_uj())
           << "node " << i << " dev " << d;
-      EXPECT_EQ(got[d].counter_uj, want[d].counter_uj);
-      EXPECT_EQ(got[d].busy, want[d].busy);
-      EXPECT_EQ(got[d].temperature_c, want[d].temperature_c);
-      EXPECT_EQ(got[d].progress_ups, want[d].progress_ups);
-      EXPECT_EQ(got[d].counter_uj, sharded.device_counter_uj(i, d));
-      EXPECT_EQ(got[d].busy, sharded.device_busy(i, d));
-      EXPECT_EQ(got[d].temperature_c, sharded.device_temperature_c(i, d));
+      EXPECT_EQ(sharded.device_busy(i, d), legacy.device_busy(i, d));
+      EXPECT_EQ(sharded.device_temperature_c(i, d),
+                legacy.device_temperature_c(i, d));
+      EXPECT_EQ(sharded.device_progress_rate_ups(i, d),
+                legacy.device_progress_rate_ups(i, d));
     }
   }
   EXPECT_GT(wrapped, 0u) << "the run never wrapped a counter";
-  EXPECT_THROW(sharded.read_node(kNodes, got), Error);
-  EXPECT_THROW(sharded.read_node(0, std::span<DeviceReading>(got.data(), 0)),
-               Error);
+  EXPECT_THROW(sharded.device_counter_uj(kNodes, 0), Error);
+  EXPECT_THROW(
+      sharded.device_progress_rate_ups(0, sharded.node_device_count(0)), Error);
 }
 
 // --------------------------------------------------------------------------
