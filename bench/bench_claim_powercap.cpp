@@ -132,7 +132,7 @@ RunResult run_scenario(double cap_w, bool faults, int threads,
     coordinator->attach();
   }
 
-  std::optional<fault::FaultInjector> injector;
+  std::optional<fault::FaultInjector<rtrm::Cluster>> injector;
   fault::FaultSchedule schedule;
   if (faults) {
     fault::FaultModel model;

@@ -6,9 +6,9 @@
 // node-unavailability levels, while a naive runtime (no checkpoints, no
 // retry) permanently loses work.
 //
-// Setup: an 8-node cluster runs a fixed batch of checkpointed jobs while the
-// antarex::fault scheduler injects Weibull-distributed node crashes. The
-// crash MTBF is derived from a target steady-state unavailability
+// Setup: an 8-node rtrm::ShardedCluster runs a fixed batch of checkpointed
+// jobs while the antarex::fault scheduler injects Weibull-distributed node
+// crashes. The crash MTBF is derived from a target steady-state unavailability
 // U = repair / (MTBF + repair) with a 40 s mean repair: 1% -> 3960 s,
 // 5% -> 760 s. Everything is seeded, so all reported metrics are
 // deterministic model outputs suitable for the regression gate.
@@ -16,7 +16,7 @@
 
 #include "bench_common.hpp"
 #include "fault/fault.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 
 namespace {
 
@@ -56,15 +56,12 @@ double mtbf_for_unavailability(double u) {
 }
 
 ScenarioResult run_scenario(double unavailability, bool resilient) {
-  rtrm::ClusterConfig cfg;
-  cfg.backfill = true;
-  rtrm::Cluster cluster{cfg};
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    rtrm::Node n("n" + std::to_string(i), 40.0);
-    n.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                              DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(n));
-  }
+  rtrm::ShardedClusterConfig cfg;
+  cfg.base.backfill = true;
+  rtrm::ShardedCluster cluster{cfg};
+  const u32 cpu = cluster.add_spec(DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < kNodes; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability{}}});
   for (int j = 1; j <= kJobs; ++j) {
     rtrm::Job job;
     job.id = static_cast<u64>(j);

@@ -6,7 +6,8 @@
 
 namespace antarex::fault {
 
-FaultInjector::FaultInjector(rtrm::Cluster& cluster, FaultSchedule schedule)
+template <class Plant>
+FaultInjector<Plant>::FaultInjector(Plant& cluster, FaultSchedule schedule)
     : cluster_(cluster), schedule_(std::move(schedule)) {
   cluster_.add_step_observer(
       [this](double now, double it_power, double dt) {
@@ -21,7 +22,9 @@ FaultInjector::FaultInjector(rtrm::Cluster& cluster, FaultSchedule schedule)
       });
 }
 
-void FaultInjector::on_step(double now_s, double /*it_power_w*/, double dt_s) {
+template <class Plant>
+void FaultInjector<Plant>::on_step(double now_s, double /*it_power_w*/,
+                                   double dt_s) {
   // Fault-time accounting for the step that just landed.
   const std::size_t down = cluster_.nodes_down();
   if (down > 0) {
@@ -37,11 +40,12 @@ void FaultInjector::on_step(double now_s, double /*it_power_w*/, double dt_s) {
   }
 }
 
-void FaultInjector::apply(const FaultEvent& e) {
+template <class Plant>
+void FaultInjector<Plant>::apply(const FaultEvent& e) {
   TELEMETRY_SPAN("fault.inject");
-  ANTAREX_REQUIRE(e.node < cluster_.nodes().size(),
+  ANTAREX_REQUIRE(e.node < cluster_.node_count(),
                   "FaultInjector: event for a node outside the cluster");
-  rtrm::Node& node = cluster_.nodes()[e.node];
+  const std::size_t devices = cluster_.node_device_count(e.node);
 
   switch (e.kind) {
     case FaultKind::NodeCrash:
@@ -55,35 +59,35 @@ void FaultInjector::apply(const FaultEvent& e) {
       TELEMETRY_COUNT("fault.repairs", 1);
       break;
     case FaultKind::SensorGlitch:
-      ANTAREX_REQUIRE(e.device < node.device_count(),
+      ANTAREX_REQUIRE(e.device < devices,
                       "FaultInjector: glitch for a missing device");
-      node.device(e.device).rapl().set_reading_offset_j(e.magnitude);
+      cluster_.set_reading_offset_j(e.node, e.device, e.magnitude);
       telemetry::mark_samples_poisoned();
       ++stats_.glitches;
       TELEMETRY_COUNT("fault.glitches", 1);
       break;
     case FaultKind::GlitchClear:
-      ANTAREX_REQUIRE(e.device < node.device_count(),
+      ANTAREX_REQUIRE(e.device < devices,
                       "FaultInjector: glitch-clear for a missing device");
-      node.device(e.device).rapl().set_reading_offset_j(0.0);
+      cluster_.set_reading_offset_j(e.node, e.device, 0.0);
       // The clear also poisons: a tuner sample spanning it saw a mid-window
       // reading jump, same as at onset.
       telemetry::mark_samples_poisoned();
       break;
     case FaultKind::ThermalThrottle:
-      ANTAREX_REQUIRE(e.device < node.device_count(),
+      ANTAREX_REQUIRE(e.device < devices,
                       "FaultInjector: throttle for a missing device");
-      node.device(e.device).force_throttle(e.duration_s);
+      cluster_.force_throttle(e.node, e.device, e.duration_s);
       ++stats_.throttles;
       TELEMETRY_COUNT("fault.throttles", 1);
       break;
     case FaultKind::SlowNode:
-      for (auto& d : node.devices()) d.set_slowdown(e.magnitude);
+      cluster_.set_node_slowdown(e.node, e.magnitude);
       ++stats_.slowdowns;
       TELEMETRY_COUNT("fault.slowdowns", 1);
       break;
     case FaultKind::SlowNodeEnd:
-      for (auto& d : node.devices()) d.set_slowdown(1.0);
+      cluster_.set_node_slowdown(e.node, 1.0);
       break;
   }
 
@@ -93,7 +97,8 @@ void FaultInjector::apply(const FaultEvent& e) {
   log_.emplace_back(line);
 }
 
-std::string FaultInjector::replay_trace() const {
+template <class Plant>
+std::string FaultInjector<Plant>::replay_trace() const {
   std::string out;
   out += schedule_.to_text();
   for (const std::string& line : log_) {
@@ -131,5 +136,8 @@ std::string FaultInjector::replay_trace() const {
   out += line;
   return out;
 }
+
+template class FaultInjector<rtrm::Cluster>;
+template class FaultInjector<rtrm::ShardedCluster>;
 
 }  // namespace antarex::fault

@@ -40,6 +40,23 @@ void Cluster::repair_node(std::size_t i) {
   TELEMETRY_GAUGE("rtrm.nodes_down", static_cast<double>(nodes_down()));
 }
 
+void Cluster::force_throttle(std::size_t node, std::size_t dev,
+                             double duration_s) {
+  ANTAREX_REQUIRE(node < nodes_.size(), "Cluster: node index out of range");
+  nodes_[node].device(dev).force_throttle(duration_s);
+}
+
+void Cluster::set_node_slowdown(std::size_t node, double factor) {
+  ANTAREX_REQUIRE(node < nodes_.size(), "Cluster: node index out of range");
+  for (auto& d : nodes_[node].devices()) d.set_slowdown(factor);
+}
+
+void Cluster::set_reading_offset_j(std::size_t node, std::size_t dev,
+                                   double joules) {
+  ANTAREX_REQUIRE(node < nodes_.size(), "Cluster: node index out of range");
+  nodes_[node].device(dev).rapl().set_reading_offset_j(joules);
+}
+
 void Cluster::control_step() {
   TELEMETRY_SPAN("rtrm.control_step");
   for (auto& node : nodes_) {

@@ -92,6 +92,11 @@ class Cluster {
   /// O(1): maintained on fail/repair instead of rescanning every node — the
   /// fault injector and cap coordinator poll this every step.
   std::size_t nodes_down() const { return down_count_; }
+  /// Fault actuation, named as on ShardedCluster so the fault driver is
+  /// written once over the plant.
+  void force_throttle(std::size_t node, std::size_t dev, double duration_s);
+  void set_node_slowdown(std::size_t node, double factor);
+  void set_reading_offset_j(std::size_t node, std::size_t dev, double joules);
 
   /// Per-node power committed by the most recent simulation step, in node
   /// order (empty before the first step). Lets per-step consumers (the cap

@@ -523,7 +523,8 @@ void ShardedCluster::assign_device(u32 d, const power::WorkloadModel& w,
 }
 
 void ShardedCluster::fail_node(std::size_t node) {
-  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
+  ANTAREX_REQUIRE(node < node_count(),
+                  "ShardedCluster: node index out of range");
   if (node_failed_[node]) return;
   touch_node(node);
   std::vector<std::pair<u64, double>> interrupted;
@@ -551,7 +552,8 @@ void ShardedCluster::fail_node(std::size_t node) {
 }
 
 void ShardedCluster::repair_node(std::size_t node) {
-  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
+  ANTAREX_REQUIRE(node < node_count(),
+                  "ShardedCluster: node index out of range");
   if (!node_failed_[node]) return;
   touch_node(node);  // bank the remaining downtime while still failed
   node_failed_[node] = 0;
@@ -573,6 +575,8 @@ void ShardedCluster::force_throttle(std::size_t node, std::size_t dev,
 }
 
 void ShardedCluster::set_node_slowdown(std::size_t node, double factor) {
+  ANTAREX_REQUIRE(node < node_count(),
+                  "ShardedCluster: node index out of range");
   ANTAREX_REQUIRE(factor >= 1.0, "Device: slowdown factor must be >= 1");
   const u32 begin = node_dev_begin_[node];
   const u32 end = begin + node_dev_count_[node];
@@ -733,7 +737,8 @@ void ShardedCluster::power_manager_step() {
 }
 
 void ShardedCluster::apply_node_budget(std::size_t node, double budget_w) {
-  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
+  ANTAREX_REQUIRE(node < node_count(),
+                  "ShardedCluster: node index out of range");
   ANTAREX_REQUIRE(budget_w > 0.0, "ShardedCluster: non-positive node budget");
   node_budget_w_[node] = std::max(budget_w, 1.0);
   if (!node_controller_step(node)) return;
@@ -917,7 +922,7 @@ void ShardedCluster::step_shard(std::size_t s, double dt_s) {
 
 void ShardedCluster::run_for(double duration_s, double dt_s) {
   ANTAREX_REQUIRE(duration_s >= 0.0 && dt_s > 0.0,
-                  "Cluster: bad run parameters");
+                  "ShardedCluster: bad run parameters");
   finalize();
   const double end = clock_.now() + duration_s;
   while (clock_.now() < end - 1e-12) {
@@ -1005,13 +1010,15 @@ bool ShardedCluster::run_until_idle(double max_s, double dt_s) {
 // ---------------------------------------------------------------------------
 
 double ShardedCluster::node_downtime_s(std::size_t node) {
-  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
+  ANTAREX_REQUIRE(node < node_count(),
+                  "ShardedCluster: node index out of range");
   catch_up_node(node);
   return node_downtime_s_[node];
 }
 
 double ShardedCluster::node_energy_j(std::size_t node) {
-  ANTAREX_REQUIRE(node < node_count(), "Cluster: node index out of range");
+  ANTAREX_REQUIRE(node < node_count(),
+                  "ShardedCluster: node index out of range");
   catch_up_node(node);
   return node_energy_j_[node];
 }

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "fault/schedule.hpp"
-#include "fault/shard_driver.hpp"
 #include "rtrm/cluster.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/rng.hpp"

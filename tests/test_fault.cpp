@@ -1,5 +1,6 @@
 // Tests for antarex::fault: schedule generation, each injection kind's
-// plant-level semantics, checkpoint/restart + backoff rescheduling, and the
+// plant-level semantics, checkpoint/restart + backoff rescheduling, the
+// driver's input checks on both plants, and the
 // golden replay fixtures proving a faulted run is byte-identical across
 // exec thread counts.
 #include <gtest/gtest.h>
@@ -321,6 +322,58 @@ TEST(Injector, LogIsReplayableFromSameSeed) {
   };
   EXPECT_EQ(run(21), run(21));
   EXPECT_NE(run(21), run(22));
+}
+
+// --------------------------------------------------------------------------
+// Driver input checks: the one FaultInjector rejects events that name a node
+// or device outside the plant, on both plants
+// --------------------------------------------------------------------------
+
+rtrm::ShardedCluster make_sharded(std::size_t nodes) {
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = 1;
+  rtrm::ShardedCluster c(cfg);
+  const u32 cpu = c.add_spec(DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < nodes; ++i)
+    c.add_node(40.0, {{cpu, power::Variability{}}});
+  return c;
+}
+
+template <class Plant>
+void expect_rejected(Plant (*make)(), FaultKind kind, u32 node, u32 device) {
+  Plant plant = make();
+  FaultSchedule s;
+  s.horizon_s = 1.0;
+  s.events.push_back({0.5, kind, node, device, 2.0, 1.0});
+  FaultInjector inj(plant, s);
+  try {
+    plant.run_for(1.0);
+    ADD_FAILURE() << fault_kind_name(kind) << " node=" << node
+                  << " dev=" << device << " was not rejected";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("FaultInjector:", 0), 0u)
+        << e.what();
+  }
+}
+
+template <class Plant>
+void expect_events_outside_plant_rejected(Plant (*make)()) {
+  const Plant probe = make();
+  const u32 nodes = static_cast<u32>(probe.node_count());
+  const u32 devices = static_cast<u32>(probe.node_device_count(1));
+  for (FaultKind k :
+       {FaultKind::NodeCrash, FaultKind::NodeRepair, FaultKind::SlowNode})
+    expect_rejected(make, k, nodes, 0);
+  for (FaultKind k : {FaultKind::SensorGlitch, FaultKind::GlitchClear,
+                      FaultKind::ThermalThrottle})
+    expect_rejected(make, k, 1, devices);
+}
+
+TEST(Injector, RejectsEventsOutsideThePlantOnBothPlants) {
+  expect_events_outside_plant_rejected<rtrm::Cluster>(
+      [] { return make_cluster(2); });
+  expect_events_outside_plant_rejected<rtrm::ShardedCluster>(
+      [] { return make_sharded(2); });
 }
 
 // --------------------------------------------------------------------------

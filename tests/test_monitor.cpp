@@ -700,7 +700,7 @@ std::string sharded_health(std::size_t shards) {
   rtrm::submit_job_mix(cluster, kParitySeed, 2 * kParityNodes);
   MonitorFabric fabric(parity_fabric_config());
   fabric.attach(cluster);
-  fault::ShardFaultDriver driver(
+  fault::FaultInjector driver(
       cluster,
       rtrm::make_fault_schedule(kParityNodes, kParityHorizonS, kParitySeed));
   cluster.run_for(kParityHorizonS, 0.25);

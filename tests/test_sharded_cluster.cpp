@@ -53,7 +53,7 @@ std::string legacy_run(u64 seed, const Scenario& sc,
   ClusterBlueprint::exascale(seed, kNodes).build(cluster);
   if (sc.op_step_down > 0) cluster.set_op_step_down(sc.op_step_down);
   submit_job_mix(cluster, seed, kJobs);
-  std::optional<fault::FaultInjector> injector;
+  std::optional<fault::FaultInjector<Cluster>> injector;
   if (sc.faults)
     injector.emplace(cluster, make_fault_schedule(kNodes, kHorizon, seed));
   cluster.run_for(kHorizon, kDt);
@@ -72,7 +72,7 @@ std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
   ClusterBlueprint::exascale(seed, kNodes).build(cluster);
   if (sc.op_step_down > 0) cluster.set_op_step_down(sc.op_step_down);
   submit_job_mix(cluster, seed, kJobs);
-  std::optional<fault::ShardFaultDriver> driver;
+  std::optional<fault::FaultInjector<ShardedCluster>> driver;
   if (sc.faults)
     driver.emplace(cluster, make_fault_schedule(kNodes, kHorizon, seed));
   exec::ThreadPool pool(threads);
@@ -173,7 +173,7 @@ TEST(ShardedReadout, CountersMatchLegacyRaplAfterGlitchesAndWrap) {
     for (std::size_t i = 0; i < kNodes; ++i) {
       const std::size_t d = (i + round) % legacy.node_device_count(i);
       const double j = kOffsets[(i + round) % std::size(kOffsets)];
-      legacy.nodes()[i].device(d).rapl().set_reading_offset_j(j);
+      legacy.set_reading_offset_j(i, d, j);
       sharded.set_reading_offset_j(i, d, j);
     }
   };
@@ -209,6 +209,8 @@ TEST(ShardedReadout, CountersMatchLegacyRaplAfterGlitchesAndWrap) {
   EXPECT_THROW(sharded.device_counter_uj(kNodes, 0), Error);
   EXPECT_THROW(
       sharded.device_progress_rate_ups(0, sharded.node_device_count(0)), Error);
+  EXPECT_THROW(legacy.set_node_slowdown(kNodes, 2.0), Error);
+  EXPECT_THROW(sharded.set_node_slowdown(kNodes, 2.0), Error);
 }
 
 // --------------------------------------------------------------------------
