@@ -8,8 +8,8 @@
 // and keeps holding the cap while antarex::fault crashes nodes mid-epoch
 // (the dead nodes' budget share redistributes to the survivors).
 //
-// Setup: an 8-node cluster drains a fixed batch of checkpointed jobs (every
-// fourth at priority 2). The uncapped run calibrates the reference draw
+// Setup: an 8-node ShardedCluster drains a fixed batch of checkpointed jobs
+// (every fourth at priority 2). The uncapped run calibrates the reference draw
 // (peak 1 s-epoch mean IT power) and throughput; the capped runs attach a
 // CapCoordinator at a fraction of that draw, with the epoch/RAPL-window
 // violation semantics. Everything runs on the simulation clock with the
@@ -24,7 +24,7 @@
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
 #include "govern/govern.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 
 namespace {
 
@@ -69,17 +69,13 @@ double mtbf_for_unavailability(double u) {
 /// Weibull crash/repair schedule. The returned figures are deterministic.
 RunResult run_scenario(double cap_w, bool faults, int threads,
                        bool trace_nodes) {
-  rtrm::ClusterConfig cfg;
-  cfg.backfill = true;
-  cfg.control_period_s = kDtS;  // clamp before every plant step
-  rtrm::Cluster cluster{cfg};
-  cluster.set_trace_node_power(trace_nodes);
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    rtrm::Node n("n" + std::to_string(i), 40.0);
-    n.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                              DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(n));
-  }
+  rtrm::ShardedClusterConfig cfg;
+  cfg.base.backfill = true;
+  cfg.base.control_period_s = kDtS;  // clamp before every plant step
+  rtrm::ShardedCluster cluster{cfg};
+  const u32 cpu = cluster.add_spec(DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < kNodes; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability{}}});
   for (int j = 1; j <= kJobs; ++j) {
     rtrm::Job job;
     job.id = static_cast<u64>(j);
@@ -103,6 +99,17 @@ RunResult run_scenario(double cap_w, bool faults, int threads,
   exec::ThreadPool pool(threads);
   cluster.set_pool(&pool);
 
+  // Under --telemetry=trace, one rtrm.node_power_w.<node> series per node
+  // makes the cap decisions visible per node in reports.
+  if (trace_nodes) {
+    cluster.add_step_observer([&cluster](double, double, double) {
+      for (std::size_t i = 0; i < kNodes; ++i)
+        telemetry::Registry::global()
+            .series("rtrm.node_power_w.n" + std::to_string(i))
+            .push(cluster.node_power_w(i));
+    });
+  }
+
   // Peak epoch-mean draw, tracked identically in every scenario.
   struct EpochTracker {
     double j = 0.0, t = 0.0, peak_w = 0.0;
@@ -118,6 +125,7 @@ RunResult run_scenario(double cap_w, bool faults, int threads,
   });
 
   std::optional<govern::CapCoordinator> coordinator;
+  std::optional<govern::JobEnergyLedger> ledger;
   if (cap_w > 0.0) {
     govern::CapCoordinatorConfig gc;
     gc.cluster_cap_w = cap_w;
@@ -130,9 +138,11 @@ RunResult run_scenario(double cap_w, bool faults, int threads,
     coordinator.emplace(cluster, gc);
     coordinator->add_actuator(std::make_shared<govern::DvfsActuator>(cluster));
     coordinator->attach();
+    // Ahead of the fault driver, so a crash never hides a step's draw.
+    ledger.emplace(cluster);
   }
 
-  std::optional<fault::FaultInjector<rtrm::Cluster>> injector;
+  std::optional<fault::FaultInjector<rtrm::ShardedCluster>> injector;
   fault::FaultSchedule schedule;
   if (faults) {
     fault::FaultModel model;
@@ -158,8 +168,8 @@ RunResult run_scenario(double cap_w, bool faults, int threads,
     r.worst_overshoot_w = s.worst_overshoot_w;
     r.redistributions = s.redistributions;
     r.restricts = s.restricts;
-    r.job_energy_j = coordinator->job_energy().total_joules();
-    r.job_rows = coordinator->job_energy().rows();
+    r.job_energy_j = ledger->table().total_joules();
+    r.job_rows = ledger->table().rows();
   }
   return r;
 }

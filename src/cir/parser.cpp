@@ -55,6 +55,22 @@ class Parser {
     throw Error(format("parse error at %d:%d: %s", t.loc.line, t.loc.col, msg.c_str()));
   }
 
+  /// One level of nesting for the scope of a recursive call.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (p_.depth_ >= kMaxNesting)
+        p_.fail(format("nested deeper than %zu levels", kMaxNesting));
+      ++p_.depth_;
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
+
   bool at_type() const {
     switch (peek().kind) {
       case TokKind::KwInt:
@@ -137,6 +153,7 @@ class Parser {
   }
 
   StmtPtr statement() {
+    const Nest nest(*this);
     const SourceLoc loc = peek().loc;
     switch (peek().kind) {
       case TokKind::LBrace:
@@ -271,7 +288,10 @@ class Parser {
   }
 
   // Expression precedence climbing.
-  ExprPtr expression() { return or_expr(); }
+  ExprPtr expression() {
+    const Nest nest(*this);
+    return or_expr();
+  }
 
   ExprPtr or_expr() {
     ExprPtr e = and_expr();
@@ -345,15 +365,11 @@ class Parser {
   }
 
   ExprPtr unary() {
-    if (at(TokKind::Minus)) {
+    if (at(TokKind::Minus) || at(TokKind::Bang)) {
+      const UnOp op = at(TokKind::Minus) ? UnOp::Neg : UnOp::Not;
       const SourceLoc loc = advance().loc;
-      ExprPtr e = make_unary(UnOp::Neg, unary());
-      e->loc = loc;
-      return e;
-    }
-    if (at(TokKind::Bang)) {
-      const SourceLoc loc = advance().loc;
-      ExprPtr e = make_unary(UnOp::Not, unary());
+      const Nest nest(*this);
+      ExprPtr e = make_unary(op, unary());
       e->loc = loc;
       return e;
     }
@@ -424,6 +440,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -21,12 +21,19 @@
 // expressions (++ only as a statement).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string_view>
 
 #include "cir/ast.hpp"
 
 namespace antarex::cir {
+
+/// Deepest statement/expression nesting the parser accepts: every nested
+/// statement, expression (parenthesised, call argument, subscript) and prefix
+/// operator adds one level; a bare expression sits at depth 1. Deeper input
+/// throws antarex::Error instead of exhausting the stack.
+inline constexpr std::size_t kMaxNesting = 256;
 
 /// Parses a full translation unit. Throws antarex::Error on syntax errors.
 std::unique_ptr<Module> parse_module(std::string_view source);

@@ -137,6 +137,11 @@ struct AspectLibrary {
 /// Parse a DSL source file. Throws antarex::Error with line info on errors.
 AspectLibrary parse_aspects(std::string_view source);
 
+/// Deepest expression nesting the parser accepts: an expression inside k
+/// parentheses or prefix operators sits at depth k + 1. Deeper input throws
+/// antarex::Error instead of exhausting the stack.
+inline constexpr std::size_t kDslMaxNesting = 256;
+
 /// Parse a single DSL expression (used in tests and filters).
 DExprPtr parse_dsl_expression(std::string_view source);
 

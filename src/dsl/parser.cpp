@@ -76,6 +76,22 @@ class DslParser {
                        msg.c_str()));
   }
 
+  /// One level of expression nesting for the scope of a recursive call.
+  class Nest {
+   public:
+    explicit Nest(DslParser& p) : p_(p) {
+      if (p_.depth_ >= kDslMaxNesting)
+        p_.fail(format("expression nested deeper than %zu", kDslMaxNesting));
+      ++p_.depth_;
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    DslParser& p_;
+  };
+
   // --- aspectdef ------------------------------------------------------------
 
   AspectDef aspectdef() {
@@ -283,7 +299,10 @@ class DslParser {
     return e;
   }
 
-  DExprPtr expression() { return or_expr(); }
+  DExprPtr expression() {
+    const Nest nest(*this);
+    return or_expr();
+  }
 
   DExprPtr binary(DBinOp op, DExprPtr l, DExprPtr r) {
     auto e = make(DExprKind::Binary);
@@ -348,6 +367,7 @@ class DslParser {
     if (at(DTok::Minus) || at(DTok::Not)) {
       const DUnOp op = at(DTok::Minus) ? DUnOp::Neg : DUnOp::Not;
       advance();
+      const Nest nest(*this);
       auto e = make(DExprKind::Unary);
       e->un_op = op;
       e->lhs = unary_expr();
@@ -417,6 +437,7 @@ class DslParser {
 
   std::vector<DToken> toks_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

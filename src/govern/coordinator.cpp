@@ -2,18 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "causal/ledger.hpp"
-#include "rtrm/dispatcher.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::govern {
 
-CapCoordinator::CapCoordinator(rtrm::Cluster& cluster, CapCoordinatorConfig cfg)
+namespace {
+constexpr u32 kNoDevice = rtrm::ShardedDispatcher::kInvalidDevice;
+}  // namespace
+
+CapCoordinator::CapCoordinator(rtrm::ShardedCluster& cluster,
+                               CapCoordinatorConfig cfg)
     : cluster_(cluster), cfg_(cfg) {
   ANTAREX_REQUIRE(cfg_.cluster_cap_w > 0.0,
                   "CapCoordinator: non-positive cluster cap");
@@ -35,22 +38,11 @@ void CapCoordinator::add_actuator(std::shared_ptr<Actuator> actuator) {
   actuators_.push_back(std::move(actuator));
 }
 
-double CapCoordinator::node_floor_w(const rtrm::Node& node) const {
-  // The node's draw with every device idle at its lowest P-state: the budget
-  // below which a controller cannot help (same floor the built-in
-  // ClusterPowerManager guarantees).
-  double f = node.base_power_w();
-  for (const auto& d : node.devices())
-    f += d.power_model().idle_power_w(d.spec().dvfs.lowest(),
-                                      d.temperature_c());
-  return f;
-}
-
 void CapCoordinator::attach() {
   ANTAREX_REQUIRE(!attached_, "CapCoordinator: already attached");
-  const std::size_t n = cluster_.nodes().size();
+  const std::size_t n = cluster_.node_count();
   ANTAREX_REQUIRE(n > 0, "CapCoordinator: cluster has no nodes");
-  while (node_ctl_.size() < n) node_ctl_.emplace_back(1.0);
+  cluster_.finalize();  // the per-node tables below must not go stale
   node_epoch_j_.assign(n, 0.0);
   budgets_w_.assign(n, 0.0);
   epoch_j_ = 0.0;
@@ -58,19 +50,13 @@ void CapCoordinator::attach() {
   over_streak_ = under_streak_ = 0;
   attach_s_ = cluster_.now_s();
   last_alive_ = n - cluster_.nodes_down();
-  device_index_.clear();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t d = 0; d < cluster_.nodes()[i].device_count(); ++d)
-      device_index_.emplace(cluster_.nodes()[i].device(d).name(),
-                            std::make_pair(i, d));
   attached_ = true;
   renegotiate();  // initial budgets from floors (no demand observed yet)
 
-  cluster_.set_control_hook(
-      [this](std::vector<rtrm::Node>& nodes, double now_s) {
-        if (attached_) on_control(nodes, now_s);
-      });
-  // Cluster observers are not removable, so install exactly one across the
+  cluster_.set_control_hook([this](rtrm::ShardedCluster&, double now_s) {
+    if (attached_) on_control(now_s);
+  });
+  // Plant observers are not removable, so install exactly one across the
   // coordinator's lifetime — a re-attach after detach() must not end up with
   // two live observers double-counting every step.
   if (!observer_installed_) {
@@ -86,43 +72,35 @@ void CapCoordinator::detach() {
   if (epoch_t_ > 0.0) close_epoch(cluster_.now_s());  // partial final epoch
   attached_ = false;
   cluster_.set_control_hook(nullptr);
+  clear_device_weights();
 }
 
-void CapCoordinator::on_control(std::vector<rtrm::Node>& nodes, double now_s) {
+void CapCoordinator::clear_device_weights() {
+  for (const u32 d : weighted_devices_) cluster_.set_device_weight(d, 1.0);
+  weighted_devices_.clear();
+}
+
+void CapCoordinator::on_control(double now_s) {
   last_now_s_ = now_s;
   maybe_redistribute();
   // Victim ordering by job priority: devices running high-priority jobs are
-  // clamped last. The running set is committed serially on this thread.
-  std::map<std::string, double> prio_by_device;
+  // clamped last. Only devices whose job has priority != 1 carry a weight.
   if (cfg_.use_priority) {
-    for (const auto& job : cluster_.dispatcher().running_jobs())
-      if (job.priority > 0.0) prio_by_device[job.device_name] = job.priority;
+    clear_device_weights();
+    const rtrm::ShardedDispatcher& disp = cluster_.dispatcher();
+    for (const auto& job : disp.running_jobs()) {
+      if (job.priority <= 0.0 || job.priority == 1.0) continue;
+      const u32 d = disp.device_of(job.id);
+      if (d == kNoDevice) continue;
+      cluster_.set_device_weight(d, job.priority);
+      weighted_devices_.push_back(d);
+    }
   }
-
-  for (std::size_t i = 0; i < nodes.size() && i < node_ctl_.size(); ++i) {
-    rtrm::Node& node = nodes[i];
-    if (node.failed() || budgets_w_[i] <= 0.0) continue;
-
-    if (cfg_.use_priority) {
-      std::vector<double> w(node.device_count(), 1.0);
-      for (std::size_t d = 0; d < node.device_count(); ++d) {
-        const auto hit = prio_by_device.find(node.device(d).name());
-        if (hit != prio_by_device.end()) w[d] = hit->second;
-      }
-      node_ctl_[i].set_device_weights(std::move(w));
-    }
-
-    node_ctl_[i].set_budget_w(std::max(budgets_w_[i], 1.0));
-    // One regular step (may raise under headroom), then keep lowering while
-    // the node still sits over its budget — unlike the one-notch-per-period
-    // manager, the cap coordinator must hold the line *before* the next
-    // plant step draws power. The loop is bounded by the total notch count.
-    node_ctl_[i].step(node);
-    std::size_t notches = 0;
-    for (const auto& d : node.devices()) notches += d.num_ops();
-    while (notches-- > 0 && node.power_w() > budgets_w_[i] &&
-           node_ctl_[i].step(node)) {
-    }
+  // Hold the line *before* the next plant step draws power: the plant's
+  // node controller keeps lowering until each node fits its budget.
+  for (std::size_t i = 0; i < budgets_w_.size(); ++i) {
+    if (cluster_.node_failed(i) || budgets_w_[i] <= 0.0) continue;
+    cluster_.apply_node_budget(i, budgets_w_[i]);
   }
 }
 
@@ -132,7 +110,7 @@ void CapCoordinator::on_control(std::vector<rtrm::Node>& nodes, double now_s) {
 // from on_control (ahead of the clamp, so no unbudgeted power is ever drawn)
 // and from on_step (covering faults applied mid-plant-step).
 void CapCoordinator::maybe_redistribute() {
-  const std::size_t alive = cluster_.nodes().size() - cluster_.nodes_down();
+  const std::size_t alive = cluster_.node_count() - cluster_.nodes_down();
   if (alive == last_alive_) return;
   ++stats_.redistributions;
   TELEMETRY_COUNT("govern.redistributions", 1);
@@ -163,39 +141,25 @@ void CapCoordinator::on_step(double now_s, double it_power_w, double dt_s) {
   stats_.consumed_j += it_power_w * dt_s;
   epoch_j_ += it_power_w * dt_s;
   epoch_t_ += dt_s;
-
-  const auto& nodes = cluster_.nodes();
-  if (node_epoch_j_.size() < nodes.size())
-    node_epoch_j_.resize(nodes.size(), 0.0);
-  // Reuse the powers the stepper just committed instead of re-walking every
-  // device model; nothing moved between the commit and this observer, so the
-  // values are the ones power_w() would recompute.
-  const auto& node_power = cluster_.last_node_power_w();
-  if (node_power.size() == nodes.size()) {
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      node_epoch_j_[i] += node_power[i] * dt_s;
-  } else {  // before the first step (attach-time callbacks)
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      node_epoch_j_[i] += nodes[i].power_w() * dt_s;
-  }
-
-  // Per-job ledger: each busy device's draw goes to the job it is running.
-  // (Node base power stays unattributed — it is not any job's doing.)
-  // Each running job names its device, so walking the running set costs
-  // O(jobs) per tick; per-job sums land in the same order as the legacy
-  // every-device scan (one add per job per step, table ordered by key).
-  for (const auto& job : cluster_.dispatcher().running_jobs()) {
-    const auto hit = device_index_.find(job.device_name);
-    if (hit == device_index_.end()) continue;
-    const auto [ni, di] = hit->second;
-    const rtrm::Node& node = nodes[ni];
-    if (node.failed()) continue;
-    const rtrm::Device& dev = node.device(di);
-    if (dev.running_job() != std::optional<u64>(job.id)) continue;
-    job_energy_.add(job.name, dev.power_w() * dt_s, dt_s);
-  }
+  // The powers the plant just committed; a dead node reads 0.
+  for (std::size_t i = 0; i < node_epoch_j_.size(); ++i)
+    node_epoch_j_[i] += cluster_.node_power_w(i) * dt_s;
 
   if (epoch_t_ + 1e-9 >= cfg_.epoch_s) close_epoch(now_s);
+}
+
+void CapCoordinator::record_ladder_move(double now_s,
+                                        const std::string& action,
+                                        std::string cause, double mean_w) {
+  causal::DecisionRecord rec;
+  rec.t_s = now_s;
+  rec.actor = "govern.coordinator";
+  rec.action = action;
+  rec.cause = std::move(cause);
+  rec.cause_value = mean_w;
+  pending_decision_seq_ =
+      causal::DecisionLedger::global().record(std::move(rec));
+  last_actuation_s_ = now_s;
 }
 
 void CapCoordinator::close_epoch(double now_s) {
@@ -227,10 +191,11 @@ void CapCoordinator::close_epoch(double now_s) {
   // cap for `patience` consecutive epochs means the plant needs a coarser
   // knob. Ample headroom walks back in reverse order.
   const double eff_cap = cfg_.cluster_cap_w * (1.0 - cfg_.guard_fraction);
+  const double relax_at = cfg_.cluster_cap_w * (1.0 - cfg_.relax_margin);
   if (mean_w > eff_cap) {
     ++over_streak_;
     under_streak_ = 0;
-  } else if (mean_w < cfg_.cluster_cap_w * (1.0 - cfg_.relax_margin)) {
+  } else if (mean_w < relax_at) {
     ++under_streak_;
     over_streak_ = 0;
   } else {
@@ -241,17 +206,11 @@ void CapCoordinator::close_epoch(double now_s) {
     for (auto& a : actuators_)
       if (a->restrict()) {
         ++stats_.restricts;
-        causal::DecisionRecord rec;
-        rec.t_s = now_s;
-        rec.actor = "govern.coordinator";
-        rec.action = format("restrict:%s", a->name().c_str());
-        rec.cause = format(
-            "epoch mean %.1f W > effective cap %.1f W for %d epochs", mean_w,
-            eff_cap, over_streak_);
-        rec.cause_value = mean_w;
-        pending_decision_seq_ =
-            causal::DecisionLedger::global().record(std::move(rec));
-        last_actuation_s_ = now_s;
+        record_ladder_move(
+            now_s, "restrict:" + a->name(),
+            format("epoch mean %.1f W > effective cap %.1f W for %d epochs",
+                   mean_w, eff_cap, over_streak_),
+            mean_w);
         over_streak_ = 0;
         break;
       }
@@ -259,18 +218,12 @@ void CapCoordinator::close_epoch(double now_s) {
     for (auto it = actuators_.rbegin(); it != actuators_.rend(); ++it)
       if ((*it)->relax()) {
         ++stats_.relaxes;
-        causal::DecisionRecord rec;
-        rec.t_s = now_s;
-        rec.actor = "govern.coordinator";
-        rec.action = format("relax:%s", (*it)->name().c_str());
-        rec.cause = format(
-            "epoch mean %.1f W under %.1f W (relax margin) for %d epochs",
-            mean_w, cfg_.cluster_cap_w * (1.0 - cfg_.relax_margin),
-            under_streak_);
-        rec.cause_value = mean_w;
-        pending_decision_seq_ =
-            causal::DecisionLedger::global().record(std::move(rec));
-        last_actuation_s_ = now_s;
+        record_ladder_move(
+            now_s, "relax:" + (*it)->name(),
+            format("epoch mean %.1f W under %.1f W (relax margin) for %d "
+                   "epochs",
+                   mean_w, relax_at, under_streak_),
+            mean_w);
         under_streak_ = 0;
         break;
       }
@@ -282,11 +235,11 @@ void CapCoordinator::close_epoch(double now_s) {
 }
 
 void CapCoordinator::set_node_weight(std::size_t i, double weight) {
-  ANTAREX_REQUIRE(i < cluster_.nodes().size(),
+  ANTAREX_REQUIRE(i < cluster_.node_count(),
                   "CapCoordinator: node weight index out of range");
   ANTAREX_REQUIRE(weight > 0.0, "CapCoordinator: node weight must be > 0");
-  if (ext_weight_.size() < cluster_.nodes().size())
-    ext_weight_.resize(cluster_.nodes().size(), 1.0);
+  if (ext_weight_.size() < cluster_.node_count())
+    ext_weight_.resize(cluster_.node_count(), 1.0);
   ext_weight_[i] = weight;
 }
 
@@ -295,59 +248,61 @@ double CapCoordinator::node_weight(std::size_t i) const {
 }
 
 void CapCoordinator::renegotiate() {
-  const auto& nodes = cluster_.nodes();
-  budgets_w_.assign(nodes.size(), 0.0);
+  const std::size_t n = cluster_.node_count();
+  budgets_w_.assign(n, 0.0);
   const double eff_cap = cfg_.cluster_cap_w * (1.0 - cfg_.guard_fraction);
 
-  // Node priority weight: the heaviest-priority job currently on the node.
-  std::vector<double> prio(nodes.size(), 1.0);
+  // Node priority weight: the heaviest-priority job currently on the node
+  // (at least 1, so only jobs above priority 1 need a device lookup).
+  prio_.assign(n, 1.0);
   if (cfg_.use_priority) {
-    for (const auto& job : cluster_.dispatcher().running_jobs()) {
-      if (job.priority <= 0.0) continue;
-      for (std::size_t i = 0; i < nodes.size(); ++i)
-        for (const auto& dev : nodes[i].devices())
-          if (dev.name() == job.device_name)
-            prio[i] = std::max(prio[i], job.priority);
+    const rtrm::ShardedDispatcher& disp = cluster_.dispatcher();
+    for (const auto& job : disp.running_jobs()) {
+      if (job.priority <= 1.0) continue;
+      const u32 d = disp.device_of(job.id);
+      if (d == kNoDevice) continue;
+      double& p = prio_[cluster_.device_node(d)];
+      p = std::max(p, job.priority);
     }
   }
 
-  std::vector<double> floor_w(nodes.size(), 0.0);
-  std::vector<double> weight(nodes.size(), 0.0);
+  floor_w_.assign(n, 0.0);
+  weight_.assign(n, 0.0);
   double floor_total = 0.0;
   double weight_total = 0.0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].failed()) continue;  // dead: zero budget, share to survivors
-    floor_w[i] = node_floor_w(nodes[i]);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cluster_.node_failed(i)) continue;  // dead: zero budget
+    floor_w_[i] = cluster_.node_floor_w(i);
     const double mean =
-        epoch_t_ > 0.0 ? node_epoch_j_[i] / epoch_t_ : floor_w[i];
-    const double demand = std::max(mean, floor_w[i]);
-    weight[i] = std::pow(demand, cfg_.fairness_alpha) * prio[i] *
-                (i < ext_weight_.size() ? ext_weight_[i] : 1.0);
-    floor_total += floor_w[i];
-    weight_total += weight[i];
+        epoch_t_ > 0.0 ? node_epoch_j_[i] / epoch_t_ : floor_w_[i];
+    const double demand = std::max(mean, floor_w_[i]);
+    weight_[i] =
+        std::pow(demand, cfg_.fairness_alpha) * prio_[i] * node_weight(i);
+    floor_total += floor_w_[i];
+    weight_total += weight_[i];
   }
   if (floor_total <= 0.0) return;  // every node down: nothing draws power
 
   if (eff_cap <= floor_total) {
     // Infeasible even at idle: scale the floors. Budgets still sum to the
     // effective cap (conservation), controllers pin everything to P-state 0.
-    for (std::size_t i = 0; i < nodes.size(); ++i)
-      budgets_w_[i] = eff_cap * floor_w[i] / floor_total;
-  } else {
-    const double distributable = eff_cap - floor_total;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      if (nodes[i].failed()) continue;
-      const double share = weight_total > 0.0
-                               ? weight[i] / weight_total
-                               : 1.0 / static_cast<double>(last_alive_);
-      budgets_w_[i] = floor_w[i] + distributable * share;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      budgets_w_[i] = eff_cap * floor_w_[i] / floor_total;
+    return;
+  }
+  const double distributable = eff_cap - floor_total;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cluster_.node_failed(i)) continue;
+    const double share = weight_total > 0.0
+                             ? weight_[i] / weight_total
+                             : 1.0 / static_cast<double>(last_alive_);
+    budgets_w_[i] = floor_w_[i] + distributable * share;
   }
 }
 
 std::string CapCoordinator::json() const {
   std::ostringstream os;
-  os << "{\"schema\":\"antarex.govern.capreport/v1\"";
+  os << "{\"schema\":\"antarex.govern.capreport/v2\"";
   os << ",\"cap_w\":" << cfg_.cluster_cap_w;
   os << ",\"epoch_s\":" << cfg_.epoch_s;
   os << ",\"guard_fraction\":" << cfg_.guard_fraction;
@@ -369,12 +324,6 @@ std::string CapCoordinator::json() const {
        << ",\"steps\":" << a.steps() << ",\"max_steps\":" << a.max_steps()
        << ",\"level\":" << a.level() << "}";
   }
-  os << "],\"job_energy\":[";
-  const auto rows = job_energy_.rows();
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    os << (i ? "," : "") << "{\"job\":" << json_quote(rows[i].key)
-       << ",\"joules\":" << rows[i].joules
-       << ",\"seconds\":" << rows[i].seconds << "}";
   os << "]}";
   return os.str();
 }

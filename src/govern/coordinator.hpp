@@ -1,47 +1,49 @@
 // The hierarchical power-cap coordinator: the govern layer's closed loop.
 //
 // CapCoordinator takes one cluster-level power budget (the facility cap the
-// site negotiated, paper Sec. V) and makes it hold from the top down:
+// site negotiated, paper Sec. V) and makes it hold from the top down on the
+// SoA plant (rtrm::ShardedCluster):
 //
 //   cluster cap ──epoch──▶ per-node budgets ──control──▶ per-device ceilings
 //
-//  - Every simulation step it integrates cluster and per-node energy and
-//    keeps a per-job ledger (device power attributed to the job running on
-//    it, weighted by wall time — the obs::AttributionTable idiom).
+//  - Every simulation step it integrates cluster and per-node energy from
+//    the powers the plant just committed (node_power_w).
 //  - Every epoch (cfg.epoch_s of simulated time, RAPL-window semantics) it
 //    closes the books: a *violation* is an epoch whose mean IT power exceeds
 //    the cap. It then renegotiates node budgets from the epoch's measured
-//    demand — proportional share with a configurable fairness exponent and
-//    job-priority weighting — always conserving: alive budgets sum to
-//    cap * (1 - guard_fraction), the guard band absorbing intra-epoch
-//    transients. Dead nodes get zero; their share flows to survivors. A
-//    change in the alive set (antarex::fault crashing or repairing a node)
-//    triggers an immediate renegotiation on the very step it is observed —
-//    crash mid-epoch = automatic redistribution, cap still holds.
-//  - Every control period (the Cluster's own cadence) its per-node
+//    demand — one flat split over the nodes, demand^fairness_alpha weighted
+//    by job priority and the monitor's node weights — always conserving:
+//    alive budgets sum to cap * (1 - guard_fraction), the guard band
+//    absorbing intra-epoch transients. Dead nodes get zero; their share
+//    flows to survivors. A change in the alive set (antarex::fault crashing
+//    or repairing a node) triggers an immediate renegotiation on the very
+//    step or control period it is observed — crash mid-epoch = automatic
+//    redistribution, cap still holds.
+//  - Every control period (the plant's own cadence) the plant's per-node
 //    controllers clamp device ceilings to the current budgets, *after* the
 //    governor proposals — the coordinator has the last word before any power
-//    is drawn. With control_period_s == dt_s this yields zero violations by
-//    construction.
+//    is drawn. Devices running a job of priority != 1 are weighted in the
+//    controllers' victim order, so high-priority work is clamped last. With
+//    control_period_s == dt_s this yields zero violations by construction.
 //  - When budgets alone leave the cluster over the effective cap for
 //    `actuator_patience_epochs` in a row, it walks an escalation ladder of
 //    Actuators (DVFS step-down, exec throttle, nav admission) one notch per
 //    cooldown; ample headroom walks the ladder back in reverse.
 //
+// Per-job energy attribution is not the coordinator's job: attach a
+// JobEnergyLedger (job_ledger.hpp) where it is read.
+//
 // Determinism: every callback runs on the simulation thread from serially
-// committed state; the job ledger is an ordered map. The whole loop is
-// byte-identical across 1/2/8 pool workers.
+// committed state, so the whole loop is byte-identical across 1/2/8 pool
+// workers and any shard count.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "govern/actuator.hpp"
-#include "obs/attribution.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "support/common.hpp"
 
 namespace antarex::govern {
@@ -76,7 +78,10 @@ struct CapStats {
 
 class CapCoordinator {
  public:
-  CapCoordinator(rtrm::Cluster& cluster, CapCoordinatorConfig cfg);
+  CapCoordinator(rtrm::ShardedCluster& cluster, CapCoordinatorConfig cfg);
+  /// The plant's hook and observer hold `this`.
+  CapCoordinator(const CapCoordinator&) = delete;
+  CapCoordinator& operator=(const CapCoordinator&) = delete;
 
   /// Escalation ladder, walked in add order on restrict and reverse on relax.
   void add_actuator(std::shared_ptr<Actuator> actuator);
@@ -84,11 +89,12 @@ class CapCoordinator {
     return actuators_;
   }
 
-  /// Install the control hook and a step observer on the cluster. The
-  /// coordinator must outlive the cluster's run after attach().
+  /// Claim the cluster's control hook and install a step observer. Works
+  /// before the plant's first run. The coordinator must outlive the
+  /// cluster's run calls after attach().
   void attach();
   /// Stop acting and observing (the step observer stays registered but goes
-  /// inert; Cluster observers are not individually removable).
+  /// inert; plant observers are not individually removable).
   void detach();
   bool attached() const { return attached_; }
 
@@ -102,34 +108,33 @@ class CapCoordinator {
   /// budget, so the headroom flows to healthy nodes. Values clamp to > 0.
   void set_node_weight(std::size_t i, double weight);
   double node_weight(std::size_t i) const;
-  /// Per-job energy ledger (key = job name), conserved to device energy.
-  const obs::AttributionTable& job_energy() const { return job_energy_; }
   /// Mean IT power of the last closed epoch (0 before the first).
   double last_epoch_mean_w() const { return last_epoch_mean_w_; }
 
-  /// JSON report, schema "antarex.govern.capreport/v1".
+  /// JSON report, schema "antarex.govern.capreport/v2".
   std::string json() const;
 
  private:
   void on_step(double now_s, double it_power_w, double dt_s);
-  void on_control(std::vector<rtrm::Node>& nodes, double now_s);
+  void on_control(double now_s);
   void close_epoch(double now_s);
   void maybe_redistribute();   ///< renegotiate when the alive set changed
   void renegotiate();          ///< node budgets from the last epoch's demand
-  double node_floor_w(const rtrm::Node& node) const;
+  void clear_device_weights();
+  void record_ladder_move(double now_s, const std::string& action,
+                          std::string cause, double mean_w);
 
-  rtrm::Cluster& cluster_;
+  rtrm::ShardedCluster& cluster_;
   CapCoordinatorConfig cfg_;
   std::vector<std::shared_ptr<Actuator>> actuators_;
-  std::vector<rtrm::NodePowerController> node_ctl_;
   std::vector<double> budgets_w_;
   std::vector<double> ext_weight_;  ///< set_node_weight multipliers
-  obs::AttributionTable job_energy_;
-  /// Device name -> (node, device) indices, built at attach(): the per-step
-  /// job-energy ledger walks the running set (O(jobs)) instead of every
-  /// device in the cluster (O(devices)) per tick.
-  std::unordered_map<std::string, std::pair<std::size_t, std::size_t>>
-      device_index_;
+  /// Devices whose controller weight is currently != 1 (reset each control).
+  std::vector<u32> weighted_devices_;
+  // renegotiate() scratch, reused across epochs.
+  std::vector<double> prio_;
+  std::vector<double> floor_w_;
+  std::vector<double> weight_;
   CapStats stats_;
 
   bool attached_ = false;

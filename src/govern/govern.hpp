@@ -5,10 +5,12 @@
 // admission shrinking (nav). Two entry points:
 //
 //  - CapCoordinator (coordinator.hpp): a cluster joule/watt budget enforced
-//    top-down — per-node budgets renegotiated every epoch from measured
-//    demand, per-device ceilings clamped every control period, an actuator
-//    escalation ladder for when budgets are not enough. Fault-aware: node
-//    crashes redistribute the budget to survivors.
+//    top-down on rtrm::ShardedCluster — per-node budgets renegotiated every
+//    epoch from measured demand, per-device ceilings clamped every control
+//    period, an actuator escalation ladder for when budgets are not enough.
+//    Fault-aware: node crashes redistribute the budget to survivors. One
+//    class at every scale; JobEnergyLedger (job_ledger.hpp) attributes the
+//    joules per job where that is read.
 //  - install_actuating_policies (policies.hpp): threshold-triggered knob
 //    walking through the obs::PolicyEngine, for plants that need reflexes
 //    rather than accounting.
@@ -18,4 +20,5 @@
 
 #include "govern/actuator.hpp"     // IWYU pragma: export
 #include "govern/coordinator.hpp"  // IWYU pragma: export
+#include "govern/job_ledger.hpp"   // IWYU pragma: export
 #include "govern/policies.hpp"     // IWYU pragma: export

@@ -1,89 +1,13 @@
-// Facility power-cap governance over the SoA engine (rtrm::ShardedCluster).
-//
-// ShardedCapCoordinator splits one facility cap hierarchically:
-//
-//   facility cap ──epoch──▶ per-shard budgets ──epoch──▶ per-node budgets
-//                                             ──control──▶ device ceilings
-//
-// Per-shard sub-coordinators make the negotiation scale: each epoch the
-// facility budget is split across shards in proportion to their measured
-// demand (sum of node energy over the epoch, read once per epoch from the
-// engine's batched per-node energy counters — no per-tick all-nodes walk),
-// then each shard splits its slice across its own alive nodes the same way.
-// Budgets conserve: alive-node budgets always sum to cap*(1-guard_fraction).
-// At every control step the coordinator actuates through
-// ShardedCluster::apply_node_budget, which drives the node's persistent
-// power controller with the legacy CapCoordinator's clamp loop.
-//
-// Crash/repair reaction matches the legacy coordinator: a change in the
-// alive set triggers an immediate renegotiation on the very step it is
-// observed, so a dead shard's share flows to survivors before the next
-// control step.
+// Former names of the one cap coordinator (coordinator.hpp), which drives
+// rtrm::ShardedCluster directly.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "rtrm/sharded_cluster.hpp"
-#include "support/common.hpp"
+#include "govern/coordinator.hpp"
 
 namespace antarex::govern {
 
-struct ShardedCapConfig {
-  double cluster_cap_w = 0.0;  ///< required > 0: the budget to enforce
-  double epoch_s = 1.0;        ///< accounting/renegotiation window
-  double guard_fraction = 0.08;
-  /// Exponent on measured demand in the proportional split (shards and
-  /// nodes alike): 1 = demand-proportional, 0 = equal shares.
-  double fairness_alpha = 1.0;
-};
-
-struct ShardedCapStats {
-  u64 epochs = 0;
-  u64 violations = 0;  ///< epochs with mean IT power > cap
-  double worst_overshoot_w = 0.0;
-  double consumed_j = 0.0;
-  u64 redistributions = 0;  ///< renegotiations forced by alive-set changes
-};
-
-class ShardedCapCoordinator {
- public:
-  ShardedCapCoordinator(rtrm::ShardedCluster& cluster, ShardedCapConfig cfg);
-
-  /// Install the control hook and a step observer. The coordinator claims
-  /// the cluster's control hook (the legacy coordinator idiom) and must
-  /// outlive its run calls.
-  void attach();
-  void detach();
-  bool attached() const { return attached_; }
-
-  const ShardedCapStats& stats() const { return stats_; }
-  const ShardedCapConfig& config() const { return cfg_; }
-  /// Current per-shard budget slices (W); they sum to the effective cap.
-  const std::vector<double>& shard_budgets_w() const { return shard_budget_w_; }
-  /// Budget of one node (W); 0 while the node is down.
-  double node_budget_w(std::size_t node) const { return budgets_w_[node]; }
-  double last_epoch_mean_w() const { return last_epoch_mean_w_; }
-
- private:
-  void on_step(double now_s, double it_power_w, double dt_s);
-  void on_control(double now_s);
-  void close_epoch();
-  void renegotiate();
-
-  rtrm::ShardedCluster& cluster_;
-  ShardedCapConfig cfg_;
-  ShardedCapStats stats_;
-  std::vector<double> budgets_w_;        ///< per node
-  std::vector<double> shard_budget_w_;   ///< per shard
-  std::vector<double> node_energy_mark_; ///< energy at the last epoch close
-  std::vector<double> node_demand_w_;    ///< mean draw over the last epoch
-  double epoch_j_ = 0.0;
-  double epoch_t_ = 0.0;
-  double last_epoch_mean_w_ = 0.0;
-  std::size_t last_alive_ = 0;
-  bool attached_ = false;
-  bool observer_installed_ = false;
-};
+using ShardedCapCoordinator = CapCoordinator;
+using ShardedCapConfig = CapCoordinatorConfig;
+using ShardedCapStats = CapStats;
 
 }  // namespace antarex::govern

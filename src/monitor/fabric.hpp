@@ -27,8 +27,9 @@
 // broker + aggregator + detector — is O(shards + K), independent of node
 // count, which approx_bytes() reports and bench_monitor gates.
 //
-// feed_governance() and install_anomaly_policies() close the loop into
-// govern/obs so detection drives actuation, not just dashboards.
+// feed_governance() (episodes -> govern::CapCoordinator node weights) and
+// install_anomaly_policies() (episodes -> obs policies) close the loop, so
+// detection drives actuation, not just dashboards.
 #pragma once
 
 #include <functional>
@@ -136,8 +137,10 @@ class MonitorFabric {
 };
 
 /// While an anomaly episode is open on a node, multiply its budget share in
-/// `coordinator` by `penalty` (< 1); restore 1.0 on close. Registers an
-/// episode listener — call after constructing both, before the run.
+/// the cap coordinator (which drives rtrm::ShardedCluster) by `penalty`
+/// (< 1); restore 1.0 on close. Sensor-glitch (PowerSpike) episodes leave
+/// the weights alone. Registers an episode listener — call after
+/// constructing both, before the run.
 void feed_governance(MonitorFabric& fabric, govern::CapCoordinator& coordinator,
                      double penalty = 0.25);
 

@@ -669,7 +669,8 @@ bool ShardedCluster::node_controller_step(std::size_t node) {
     double worst = 0.0;
     for (u32 d = begin; d < end; ++d) {
       if (dev_pm_ceil_[d] == 0) continue;
-      const double dp = fresh_device_power_w(d);
+      const double w = dev_weight_.empty() ? 1.0 : dev_weight_[d];
+      const double dp = fresh_device_power_w(d) / w;
       if (dp > worst) {
         worst = dp;
         victim = d;
@@ -734,6 +735,17 @@ void ShardedCluster::power_manager_step() {
     node_budget_w_[i] = std::max(alloc, 1.0);
     node_controller_step(i);
   }
+}
+
+void ShardedCluster::set_device_weight(u32 device, double weight) {
+  ANTAREX_REQUIRE(device < device_count(),
+                  "ShardedCluster: device index out of range");
+  ANTAREX_REQUIRE(weight > 0.0, "ShardedCluster: non-positive device weight");
+  if (dev_weight_.empty()) {
+    if (weight == 1.0) return;
+    dev_weight_.assign(device_count(), 1.0);
+  }
+  dev_weight_[device] = weight;
 }
 
 void ShardedCluster::apply_node_budget(std::size_t node, double budget_w) {
@@ -1043,7 +1055,8 @@ std::size_t ShardedCluster::approx_state_bytes() const {
            vec(dev_units_) + vec(dev_job_) + vec(dev_wl_) + vec(dev_busy_s_) +
            vec(dev_done_) + vec(dev_interrupted_) + vec(dev_throttle_s_) +
            vec(dev_slowdown_) + vec(dev_guard_ceil_) + vec(dev_pm_ceil_) +
-           vec(dev_power_) + vec(dev_parked_) + vec(dev_upto_);
+           vec(dev_weight_) + vec(dev_power_) + vec(dev_parked_) +
+           vec(dev_upto_);
   bytes += vec(node_base_w_) + vec(node_dev_begin_) + vec(node_dev_count_) +
            vec(node_failed_) + vec(node_crashes_) + vec(node_downtime_s_) +
            vec(node_energy_j_) + vec(node_power_) + vec(node_budget_w_) +

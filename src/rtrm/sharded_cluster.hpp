@@ -181,11 +181,18 @@ class ShardedCluster {
     control_hook_ = std::move(fn);
   }
 
-  // --- power-cap actuation (govern::ShardedCapCoordinator) ------------------
-  /// Run the node's persistent power controller against `budget_w` until the
-  /// node fits (bounded by the total P-state notches), exactly as the legacy
-  /// CapCoordinator drives NodePowerController on its control hook.
+  // --- power-cap actuation (govern::CapCoordinator) -------------------------
+  /// Run the node's persistent power controller against `budget_w`: one
+  /// regular step (may raise a ceiling under headroom), then keep lowering
+  /// while the node still sits over its budget, bounded by the total P-state
+  /// notches.
   void apply_node_budget(std::size_t node, double budget_w);
+  /// Victim weight of a device (global index, as ShardedDispatcher::device_of
+  /// returns) in the node controller: over budget it lowers the device with
+  /// the highest power/weight, so a weight-2 device is clamped after an
+  /// equal-power weight-1 neighbour. Defaults to 1; the weight table is
+  /// allocated on the first weight != 1.
+  void set_device_weight(u32 device, double weight);
   /// Node power floor: base + every device idle at its lowest P-state (the
   /// same floor the facility power manager computes).
   double node_floor_w(std::size_t node) const;
@@ -236,6 +243,21 @@ class ShardedCluster {
     return 1.0 / (dev_wl_[d].execution_time_s(eff_op(d)) * dev_slowdown_[d]);
   }
   double device_energy_j(std::size_t node, std::size_t dev);
+  std::size_t device_op_count(std::size_t node, std::size_t dev) const {
+    return specs_[dev_spec_[dev_index(node, dev)]].dvfs.size();
+  }
+  /// Node and current power of a device by global index (the index
+  /// ShardedDispatcher::device_of returns).
+  std::size_t device_node(u32 device) const {
+    ANTAREX_REQUIRE(device < device_count(),
+                    "ShardedCluster: device index out of range");
+    return dev_node_[device];
+  }
+  double device_power_w(u32 device) const {
+    ANTAREX_REQUIRE(device < device_count(),
+                    "ShardedCluster: device index out of range");
+    return fresh_device_power_w(device);
+  }
   /// Wrapping 32-bit RAPL counter view (glitch offset applied), identical to
   /// power::RaplDomain::counter_uj. Inline because the monitor sweep reads it
   /// for every device every period; the catch-up test skips the out-of-line
@@ -347,6 +369,7 @@ class ShardedCluster {
   std::vector<double> dev_slowdown_;
   std::vector<u32> dev_guard_ceil_;
   std::vector<u32> dev_pm_ceil_;
+  std::vector<double> dev_weight_;  ///< controller victim weights (lazy)
   std::vector<double> dev_power_;  ///< post-step power (idle power if parked)
   std::vector<u8> dev_parked_;
   std::vector<u64> dev_upto_;  ///< steps fully applied to this device

@@ -222,6 +222,26 @@ TEST(Parser, RejectsUnsupportedTypes) {
   EXPECT_THROW(parse_module("char f() { }"), Error);
 }
 
+// An expression inside `depth - 1` parentheses sits at nesting `depth`.
+std::string nested_expression(std::size_t depth) {
+  return std::string(depth - 1, '(') + "1" + std::string(depth - 1, ')');
+}
+
+TEST(Parser, NestingDepthIsBoundedByAnError) {
+  EXPECT_NO_THROW(parse_expression(nested_expression(kMaxNesting)));
+  EXPECT_THROW(parse_expression(nested_expression(kMaxNesting + 1)), Error);
+  // Deep enough to overflow the stack without the bound.
+  EXPECT_THROW(parse_expression(nested_expression(100000)), Error);
+  // Prefix operators ('-' would lex as '--') and nested blocks count too.
+  EXPECT_NO_THROW(parse_expression(std::string(kMaxNesting - 1, '!') + "1"));
+  EXPECT_THROW(parse_expression(std::string(100000, '!') + "1"), Error);
+  EXPECT_NO_THROW(parse_snippet(std::string(kMaxNesting, '{') +
+                                std::string(kMaxNesting, '}')));
+  EXPECT_THROW(parse_snippet(std::string(100000, '{') +
+                             std::string(100000, '}')),
+               Error);
+}
+
 TEST(Parser, DuplicateFunctionNameRejected) {
   EXPECT_THROW(parse_module("void f() { } void f() { }"), Error);
 }

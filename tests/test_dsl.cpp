@@ -147,6 +147,22 @@ TEST(DslParser, RejectsDuplicateAspects) {
   EXPECT_THROW(parse_aspects("aspectdef A end aspectdef A end"), Error);
 }
 
+// An expression inside `depth - 1` parentheses sits at nesting `depth`.
+std::string nested_expression(std::size_t depth) {
+  return std::string(depth - 1, '(') + "1" + std::string(depth - 1, ')');
+}
+
+TEST(DslParser, NestingDepthIsBoundedByAnError) {
+  EXPECT_NO_THROW(parse_dsl_expression(nested_expression(kDslMaxNesting)));
+  EXPECT_THROW(parse_dsl_expression(nested_expression(kDslMaxNesting + 1)),
+               Error);
+  // Deep enough to overflow the stack without the bound.
+  EXPECT_THROW(parse_dsl_expression(nested_expression(100000)), Error);
+  // Prefix operators nest too.
+  EXPECT_NO_THROW(parse_dsl_expression(std::string(kDslMaxNesting - 1, '-') + "1"));
+  EXPECT_THROW(parse_dsl_expression(std::string(100000, '-') + "1"), Error);
+}
+
 TEST(DslParser, EmptyApplyIsAccepted) {
   const AspectLibrary lib =
       parse_aspects("aspectdef A select fCall end apply end end");

@@ -720,7 +720,8 @@ TEST(Fabric, HealthJsonIsIdenticalOnLegacyAndShardedPlants) {
 // --------------------------------------------------------------------------
 
 TEST(Fabric, FeedGovernanceShavesAndRestoresNodeWeight) {
-  rtrm::Cluster cluster = make_cluster(2);
+  rtrm::ShardedCluster cluster;
+  rtrm::ClusterBlueprint::exascale(1, 2).build(cluster);
   govern::CapCoordinatorConfig gcfg;
   gcfg.cluster_cap_w = 500.0;
   govern::CapCoordinator coordinator(cluster, gcfg);
