@@ -69,6 +69,28 @@ void submit_equiv_jobs(ClusterLike& cluster) {
   }
 }
 
+/// FNV-1a over the small-N run's observables at full precision: telemetry
+/// scalars, per-node energy, per-device temperature, energy and P-state.
+struct Digest {
+  u64 h = 1469598103934665603ULL;
+  template <typename T>
+  void add(T v) {
+    const auto* b = reinterpret_cast<const unsigned char*>(&v);
+    for (std::size_t i = 0; i < sizeof v; ++i) h = (h ^ b[i]) * 1099511628211ULL;
+  }
+};
+
+void add_telemetry(Digest& d, const ClusterTelemetry& t) {
+  d.add(t.time_s);
+  d.add(t.it_energy_j);
+  d.add(t.facility_energy_j);
+  d.add(t.peak_it_power_w);
+  d.add(t.jobs_completed);
+}
+
+/// Digest of the small-N run recorded from the legacy object-model stepper.
+constexpr u64 kEquivalenceDigest = 0x79263a04691fe2e5ULL;
+
 /// Small-N differential check: the same blueprint + jobs through the legacy
 /// stepper and the sharded engine must land on bit-identical state.
 bool engines_equivalent(int threads) {
@@ -93,23 +115,27 @@ bool engines_equivalent(int threads) {
   sharded.set_pool(&pool);
   sharded.run_for(120.0, 0.25);
 
-  const ClusterTelemetry& a = legacy.telemetry();
-  const ClusterTelemetry& b = sharded.telemetry();
-  bool same = a.time_s == b.time_s && a.it_energy_j == b.it_energy_j &&
-              a.facility_energy_j == b.facility_energy_j &&
-              a.peak_it_power_w == b.peak_it_power_w &&
-              a.jobs_completed == b.jobs_completed;
-  for (std::size_t i = 0; same && i < kNodes; ++i) {
+  Digest a, b;
+  add_telemetry(a, legacy.telemetry());
+  add_telemetry(b, sharded.telemetry());
+  for (std::size_t i = 0; i < kNodes; ++i) {
     Node& node = legacy.nodes()[i];
-    same = node.rapl().total_j() == sharded.node_energy_j(i);
-    for (std::size_t d = 0; same && d < node.device_count(); ++d) {
+    a.add(node.rapl().total_j());
+    b.add(sharded.node_energy_j(i));
+    for (std::size_t d = 0; d < node.device_count(); ++d) {
       Device& dev = node.device(d);
-      same = dev.temperature_c() == sharded.device_temperature_c(i, d) &&
-             dev.rapl().total_j() == sharded.device_energy_j(i, d) &&
-             dev.op_index() == sharded.device_op_index(i, d);
+      a.add(dev.temperature_c());
+      a.add(dev.rapl().total_j());
+      a.add(dev.op_index());
+      b.add(sharded.device_temperature_c(i, d));
+      b.add(sharded.device_energy_j(i, d));
+      b.add(sharded.device_op_index(i, d));
     }
   }
-  return same;
+  std::printf("small-N digest: legacy %016llx sharded %016llx\n",
+              static_cast<unsigned long long>(a.h),
+              static_cast<unsigned long long>(b.h));
+  return a.h == b.h && a.h == kEquivalenceDigest;
 }
 
 }  // namespace

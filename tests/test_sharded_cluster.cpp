@@ -6,6 +6,7 @@
 // shards and 1/2/8 exec workers, with and without injected crash/repair
 // schedules. Golden fixtures generated from the *legacy* stepper pin the
 // sharded path to it across refactors, mirroring fault_replay_*.
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -271,6 +272,98 @@ TEST_P(GoldenSharded, LegacyGeneratedFixtureMatchesShardedEngine) {
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
                          ::testing::Values(42u, 1337u));
+
+// --------------------------------------------------------------------------
+// Plant oracles: every differential scenario above, recorded from the legacy
+// stepper (regen with ANTAREX_UPDATE_GOLDEN=1) so the sharded engine can be
+// checked against files once the live legacy twin is gone.
+// --------------------------------------------------------------------------
+
+struct Oracle {
+  const char* name;
+  u64 seed;
+  Scenario sc;
+};
+
+std::vector<Oracle> oracles() {
+  Scenario energy_aware;
+  energy_aware.governor = GovernorPolicy::EnergyAware;
+  energy_aware.placement = PlacementPolicy::EnergyAware;
+  energy_aware.backfill = true;
+  Scenario fastest;
+  fastest.governor = GovernorPolicy::EnergyAware;
+  fastest.placement = PlacementPolicy::FastestFirst;
+  fastest.backfill = true;
+  fastest.faults = true;
+  fastest.op_step_down = 1;
+  Scenario capped;
+  capped.placement = PlacementPolicy::EnergyAware;
+  capped.facility_cap_w = 120.0 * static_cast<double>(kNodes);
+  capped.faults = true;
+  Scenario odd;
+  odd.faults = true;
+  return {{"ondemand_first_fit", 7u, Scenario{}},
+          {"energy_aware_backfill", 11u, energy_aware},
+          {"fastest_first_faulted", 13u, fastest},
+          {"facility_cap_faulted", 17u, capped},
+          {"odd_shards_faulted", 29u, odd}};
+}
+
+std::string oracle_path(const std::string& name, u64 seed) {
+  return std::string(ANTAREX_GOLDEN_DIR) + "/plant_oracle_" + name + "_" +
+         std::to_string(seed) + ".txt";
+}
+
+/// Per-device sampler reads after the glitch/wrap/park readout scenario.
+std::string legacy_readout(u64 seed) {
+  Cluster legacy;
+  ClusterBlueprint::exascale(seed, kNodes).build(legacy);
+  submit_job_mix(legacy, seed, 4 * kJobs);
+  const double kOffsets[] = {1234.567, -987.25, -5.0e4, 3.3e9, -1.0e12, 0.1};
+  auto glitch = [&](std::size_t round) {
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const std::size_t d = (i + round) % legacy.node_device_count(i);
+      legacy.set_reading_offset_j(i, d, kOffsets[(i + round) % std::size(kOffsets)]);
+    }
+  };
+  glitch(0);
+  legacy.run_for(200.0, kDt);
+  glitch(1);
+  legacy.run_until_idle(kIdleLimit, kDt);
+  legacy.run_for(600.0, kDt);
+  std::string out;
+  char buf[256];
+  for (std::size_t i = 0; i < kNodes; ++i)
+    for (std::size_t d = 0; d < legacy.node_device_count(i); ++d) {
+      std::snprintf(buf, sizeof(buf),
+                    "node %zu dev %zu uj=%u busy=%d temp=%.17g rate=%.17g\n", i,
+                    d, legacy.device_counter_uj(i, d),
+                    legacy.device_busy(i, d) ? 1 : 0,
+                    legacy.device_temperature_c(i, d),
+                    legacy.device_progress_rate_ups(i, d));
+      out += buf;
+    }
+  return out;
+}
+
+TEST(PlantOracle, LegacyStepperMatchesRecordedOracles) {
+  const char* update = std::getenv("ANTAREX_UPDATE_GOLDEN");
+  const bool regen = update && update[0] == '1';
+  std::vector<std::pair<std::string, std::string>> docs;
+  for (const Oracle& o : oracles())
+    docs.emplace_back(oracle_path(o.name, o.seed),
+                      golden_document(o.seed, o.sc, /*legacy=*/true));
+  docs.emplace_back(oracle_path("readout", 7u), legacy_readout(7u));
+  for (const auto& [path, doc] : docs) {
+    if (regen) {
+      std::ofstream out(path, std::ios::binary);
+      out << doc;
+      continue;
+    }
+    EXPECT_EQ(doc, read_file(path)) << path;
+  }
+  if (regen) GTEST_SKIP() << "regenerated the plant oracles";
+}
 
 }  // namespace
 }  // namespace antarex::rtrm
