@@ -9,8 +9,9 @@
 //  2. Engine scale — actually *simulate* an exascale-class fleet through
 //     rtrm::ShardedCluster (default 100k heterogeneous nodes, --nodes up to
 //     1M): compact SoA state bounds memory per node, shard calendars park
-//     settled nodes so idle ticks cost nothing, and a small-N differential
-//     run against the legacy stepper proves the numbers are the same physics.
+//     settled nodes so idle ticks cost nothing, and a small-N run that lands
+//     on the digest recorded from the per-object stepper proves the numbers
+//     are the same physics.
 //
 // Gated metrics are deterministic (node counts, bytes/node, device steps,
 // simulated joules, equivalence); wall-clock throughput is measured_* only.
@@ -21,7 +22,7 @@
 #include "exec/pool.hpp"
 #include "power/cooling.hpp"
 #include "power/model.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/cluster.hpp"  // sizeof(Node), sizeof(Device) only
 #include "rtrm/sharded_cluster.hpp"
 
 namespace {
@@ -52,8 +53,7 @@ void submit_fleet_jobs(ShardedCluster& cluster, u64 seed, std::size_t n_jobs) {
   }
 }
 
-template <typename ClusterLike>
-void submit_equiv_jobs(ClusterLike& cluster) {
+void submit_equiv_jobs(ShardedCluster& cluster) {
   Rng rng(99);
   for (std::size_t j = 0; j < 48; ++j) {
     Job job;
@@ -80,33 +80,19 @@ struct Digest {
   }
 };
 
-void add_telemetry(Digest& d, const ClusterTelemetry& t) {
-  d.add(t.time_s);
-  d.add(t.it_energy_j);
-  d.add(t.facility_energy_j);
-  d.add(t.peak_it_power_w);
-  d.add(t.jobs_completed);
-}
-
-/// Digest of the small-N run recorded from the legacy object-model stepper.
+/// Digest of the small-N run, recorded from the original per-object stepper
+/// (rtrm::Cluster with the energy-aware governor and fastest-first
+/// placement) before the sharded engine became the only full plant.
 constexpr u64 kEquivalenceDigest = 0x79263a04691fe2e5ULL;
 
-/// Small-N differential check: the same blueprint + jobs through the legacy
-/// stepper and the sharded engine must land on bit-identical state.
+/// Small-N equivalence check: the blueprint + jobs through the sharded
+/// engine must land on the recorded digest bit for bit.
 bool engines_equivalent(int threads) {
   constexpr std::size_t kNodes = 64;
   constexpr u64 kSeed = 2026;
-  ClusterConfig base;
-  base.governor = GovernorPolicy::EnergyAware;
-  base.placement = PlacementPolicy::FastestFirst;
-
-  Cluster legacy(base);
-  ClusterBlueprint::exascale(kSeed, kNodes).build(legacy);
-  submit_equiv_jobs(legacy);
-  legacy.run_for(120.0, 0.25);
-
   ShardedClusterConfig cfg;
-  cfg.base = base;
+  cfg.base.governor = GovernorPolicy::EnergyAware;
+  cfg.base.placement = PlacementPolicy::FastestFirst;
   cfg.shards = 7;
   ShardedCluster sharded(cfg);
   ClusterBlueprint::exascale(kSeed, kNodes).build(sharded);
@@ -115,27 +101,25 @@ bool engines_equivalent(int threads) {
   sharded.set_pool(&pool);
   sharded.run_for(120.0, 0.25);
 
-  Digest a, b;
-  add_telemetry(a, legacy.telemetry());
-  add_telemetry(b, sharded.telemetry());
+  Digest d;
+  const ClusterTelemetry& t = sharded.telemetry();
+  d.add(t.time_s);
+  d.add(t.it_energy_j);
+  d.add(t.facility_energy_j);
+  d.add(t.peak_it_power_w);
+  d.add(t.jobs_completed);
   for (std::size_t i = 0; i < kNodes; ++i) {
-    Node& node = legacy.nodes()[i];
-    a.add(node.rapl().total_j());
-    b.add(sharded.node_energy_j(i));
-    for (std::size_t d = 0; d < node.device_count(); ++d) {
-      Device& dev = node.device(d);
-      a.add(dev.temperature_c());
-      a.add(dev.rapl().total_j());
-      a.add(dev.op_index());
-      b.add(sharded.device_temperature_c(i, d));
-      b.add(sharded.device_energy_j(i, d));
-      b.add(sharded.device_op_index(i, d));
+    d.add(sharded.node_energy_j(i));
+    for (std::size_t k = 0; k < sharded.node_device_count(i); ++k) {
+      d.add(sharded.device_temperature_c(i, k));
+      d.add(sharded.device_energy_j(i, k));
+      d.add(sharded.device_op_index(i, k));
     }
   }
-  std::printf("small-N digest: legacy %016llx sharded %016llx\n",
-              static_cast<unsigned long long>(a.h),
-              static_cast<unsigned long long>(b.h));
-  return a.h == b.h && a.h == kEquivalenceDigest;
+  std::printf("small-N digest: %016llx (recorded %016llx)\n",
+              static_cast<unsigned long long>(d.h),
+              static_cast<unsigned long long>(kEquivalenceDigest));
+  return d.h == kEquivalenceDigest;
 }
 
 }  // namespace
@@ -217,8 +201,9 @@ int main(int argc, char** argv) {
   const double bytes_per_node =
       static_cast<double>(fleet.approx_state_bytes()) /
       static_cast<double>(fleet.node_count());
-  // What the legacy AoS layout costs per node before any heap spill (Node +
-  // Device objects, names, per-device history vectors) — compile-time sizes.
+  // What the per-object AoS layout (rtrm::Cluster's Node + Device objects,
+  // names, per-device history vectors) costs per node before any heap
+  // spill — compile-time sizes.
   const double avg_devices =
       static_cast<double>(total_devices) / static_cast<double>(fleet.node_count());
   const double legacy_bytes_per_node =
@@ -240,7 +225,7 @@ int main(int argc, char** argv) {
   fleet_t.add_row({"node-steps/sec", format("%.3g",
                    static_cast<double>(fleet.node_count()) *
                        static_cast<double>(fleet.steps()) / wall)});
-  fleet_t.add_row({"small-N equivalence vs legacy", equivalent ? "exact" : "DIVERGED"});
+  fleet_t.add_row({"small-N digest vs recorded", equivalent ? "exact" : "DIVERGED"});
   fleet_t.print();
 
   bench::metric("iterations", static_cast<double>(fleet.steps()));

@@ -17,7 +17,6 @@
 #include "exec/parallel.hpp"
 #include "exec/pool.hpp"
 #include "power/model.hpp"
-#include "rtrm/node.hpp"
 #include "rtrm/sharded_cluster.hpp"
 
 namespace {

@@ -4,13 +4,14 @@
 // scoring. These back the per-stage cost numbers quoted in EXPERIMENTS.md.
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "cir/parser.hpp"
 #include "dock/dock.hpp"
 #include "dsl/weaver.hpp"
 #include "nav/nav.hpp"
 #include "passes/pass_manager.hpp"
 #include "passes/specialize.hpp"
-#include "rtrm/cluster.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/strings.hpp"
 #include "vm/compiler.hpp"
@@ -144,30 +145,53 @@ void BM_SpecializedDispatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SpecializedDispatch)->Arg(0)->Arg(1);
 
-void BM_RoutingQuery(benchmark::State& state) {
-  Rng rng(5);
-  const nav::RoadGraph city = nav::RoadGraph::grid_city(rng, 32, 32);
+// Routing queries between seeded random (origin, destination) pairs on a
+// 64x64 city, cycled per iteration. Corner-to-corner queries on a small grid
+// settle every node whatever the search, hiding what A* and ALT prune; the
+// `settled` counter reports the mean nodes settled per query.
+struct RoutingFixture {
+  RoutingFixture() : rng(5), city(nav::RoadGraph::grid_city(rng, 64, 64)) {
+    Rng pair_rng(17);
+    const auto n = static_cast<u32>(city.num_nodes());
+    for (auto& [from, to] : pairs) {
+      from = static_cast<u32>(pair_rng.index(n));
+      do {
+        to = static_cast<u32>(pair_rng.index(n));
+      } while (to == from);
+    }
+  }
+  Rng rng;
+  nav::RoadGraph city;
   nav::SpeedProfiles profiles;
-  const bool astar = state.range(0) != 0;
+  std::array<std::pair<u32, u32>, 64> pairs;
+};
+
+void run_routing(benchmark::State& state, const RoutingFixture& fx,
+                 const nav::QueryOptions& opts) {
+  u64 settled = 0;
+  std::size_t k = 0;
   for (auto _ : state) {
-    auto r = nav::shortest_path_td(city, profiles, 0, 1023, 8.5 * 3600,
-                                   {astar, 1.0});
+    const auto& [from, to] = fx.pairs[k++ % fx.pairs.size()];
+    auto r = nav::shortest_path_td(fx.city, fx.profiles, from, to, 8.5 * 3600,
+                                   opts);
+    settled += r.expanded;
     benchmark::DoNotOptimize(r);
   }
+  state.counters["settled"] = benchmark::Counter(
+      static_cast<double>(settled), benchmark::Counter::kAvgIterations);
+}
+
+void BM_RoutingQuery(benchmark::State& state) {
+  const RoutingFixture fx;
+  run_routing(state, fx, {state.range(0) != 0, 1.0});
 }
 BENCHMARK(BM_RoutingQuery)->Arg(0)->Arg(1);
 
 void BM_RoutingQueryAlt(benchmark::State& state) {
-  Rng rng(5);
-  const nav::RoadGraph city = nav::RoadGraph::grid_city(rng, 32, 32);
-  nav::SpeedProfiles profiles;
+  const RoutingFixture fx;
   Rng lrng(6);
-  const nav::Landmarks lm(city, 8, lrng);
-  nav::QueryOptions opts{true, 1.0, &lm};
-  for (auto _ : state) {
-    auto r = nav::shortest_path_td(city, profiles, 0, 1023, 8.5 * 3600, opts);
-    benchmark::DoNotOptimize(r);
-  }
+  const nav::Landmarks lm(fx.city, 8, lrng);
+  run_routing(state, fx, {true, 1.0, &lm});
 }
 BENCHMARK(BM_RoutingQueryAlt);
 
@@ -200,21 +224,10 @@ void BM_DockScorePose(benchmark::State& state) {
 }
 BENCHMARK(BM_DockScorePose);
 
-// Per-tick cluster stepping cost, legacy AoS vs sharded SoA. The sharded
-// variants are pre-settled (one long warm-up run) so the calendar holds only
-// parked nodes: the steady-state tick is what an exascale-length run pays
-// almost everywhere, and a parking regression shows up here as a jump from
-// nanoseconds back to the O(nodes) legacy cost.
-void BM_ClusterTickLegacy(benchmark::State& state) {
-  const auto nodes = static_cast<std::size_t>(state.range(0));
-  rtrm::Cluster cluster;
-  rtrm::ClusterBlueprint::exascale(7, nodes).build(cluster);
-  cluster.run_for(600.0, 0.25);  // same thermal settling as the sharded runs
-  for (auto _ : state) cluster.run_for(0.25, 0.25);
-  state.SetItemsProcessed(state.iterations() * static_cast<i64>(nodes));
-}
-BENCHMARK(BM_ClusterTickLegacy)->Arg(256)->Arg(1024);
-
+// Per-tick cluster stepping cost. The plant is pre-settled (one long
+// warm-up run) so the calendar holds only parked nodes: the steady-state
+// tick is what an exascale-length run pays almost everywhere, and a parking
+// regression shows up here as a jump from nanoseconds to O(nodes).
 void BM_ClusterTickSharded(benchmark::State& state) {
   const auto nodes = static_cast<std::size_t>(state.range(0));
   rtrm::ShardedClusterConfig cfg;

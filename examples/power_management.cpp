@@ -19,7 +19,7 @@
 
 #include "obs/obs.hpp"
 #include "power/rapl.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 #include "telemetry/telemetry.hpp"
@@ -29,20 +29,15 @@ namespace {
 using namespace antarex;
 using namespace antarex::rtrm;
 
-Cluster make_cluster(ClusterConfig cfg) {
-  Cluster cluster(cfg);
-  for (int i = 0; i < 2; ++i) {
-    Node n(format("node%d", i), 60.0);
-    n.add_device(Device(format("n%d-cpu0", i), power::DeviceSpec::xeon_haswell()));
-    n.add_device(Device(format("n%d-cpu1", i), power::DeviceSpec::xeon_haswell()));
-    if (i == 1)
-      n.add_device(Device("n1-gpu0", power::DeviceSpec::gpgpu()));
-    cluster.add_node(std::move(n));
-  }
-  return cluster;
+/// Two nodes of two Xeon sockets each; the second also carries a GPGPU.
+void build_cluster(ShardedCluster& cluster) {
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  const u32 gpu = cluster.add_spec(power::DeviceSpec::gpgpu());
+  cluster.add_node(60.0, {{cpu, {}}, {cpu, {}}});
+  cluster.add_node(60.0, {{cpu, {}}, {cpu, {}}, {gpu, {}}});
 }
 
-void submit_stream(Cluster& cluster) {
+void submit_stream(ShardedCluster& cluster) {
   for (u64 id = 1; id <= 10; ++id) {
     Job j;
     j.id = id;
@@ -86,7 +81,10 @@ struct ObsRig {
 
 RunStats run(ObsRig& rig, const char* scenario, ClusterConfig cfg) {
   telemetry::ScopedSpan span(scenario);
-  Cluster cluster = make_cluster(cfg);
+  ShardedClusterConfig scfg;
+  scfg.base = cfg;
+  ShardedCluster cluster(scfg);
+  build_cluster(cluster);
   cluster.set_step_observer([&rig](double now, double it_power_w, double dt) {
     rig.package.accumulate(it_power_w, dt);
     rig.accountant.sample(rig.time_base_s + now);

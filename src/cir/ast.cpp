@@ -75,6 +75,14 @@ ExprPtr UnaryExpr::clone() const {
   return make_expr<UnaryExpr>(loc, op, operand->clone());
 }
 
+BinaryExpr::~BinaryExpr() {
+  ExprPtr next = std::move(lhs);
+  // Releasing the link's lhs before the assignment deletes the link leaves
+  // it nothing deep to free.
+  while (next && next->kind == ExprKind::Binary)
+    next = std::move(static_cast<BinaryExpr&>(*next).lhs);
+}
+
 ExprPtr BinaryExpr::clone() const {
   return make_expr<BinaryExpr>(loc, op, lhs->clone(), rhs->clone());
 }

@@ -6,6 +6,13 @@
 
 namespace antarex::dsl {
 
+DExpr::~DExpr() {
+  DExprPtr next = std::move(lhs);
+  // Releasing the link's lhs before the assignment deletes the link leaves
+  // it nothing deep to free.
+  while (next && next->lhs) next = std::move(next->lhs);
+}
+
 DExprPtr DExpr::clone() const {
   auto e = std::make_unique<DExpr>();
   e->kind = kind;

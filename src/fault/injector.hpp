@@ -1,7 +1,8 @@
 // antarex::fault — the fault injector.
 //
-// A FaultInjector binds a FaultSchedule to a live plant — rtrm::Cluster or
-// rtrm::ShardedCluster — and is written once over both: it attaches itself
+// A FaultInjector binds a FaultSchedule to a live plant — rtrm::ShardedCluster,
+// or the legacy rtrm::Cluster that bench_monitor still measures — and is
+// written once over both: it attaches itself
 // as a step observer (add_step_observer) and, after every simulation step,
 // applies all scheduled events whose timestamp has been reached through the
 // fault mutators both plants name alike. Events carry virtual timestamps,
@@ -9,7 +10,7 @@
 // and the dispatcher's lifecycle hook is folded into the same log — so a
 // (seed, schedule) pair replays bit-identically, including across exec
 // thread counts (see replay_trace()), and produces the same log on both
-// plants (the differential suite asserts it).
+// plants (the plant oracles in tests/test_sharded_cluster.cpp pin it).
 //
 // Every injection and recovery is also emitted as telemetry (fault.* counters
 // and the fault.inject span), so obs attribution and the HTML report can show

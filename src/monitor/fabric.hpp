@@ -1,7 +1,8 @@
 // antarex::monitor — the assembled monitoring fabric.
 //
-// MonitorFabric wires the Examon pipeline onto a live plant, either the
-// legacy rtrm::Cluster or the SoA rtrm::ShardedCluster:
+// MonitorFabric wires the Examon pipeline onto a live plant: the SoA
+// rtrm::ShardedCluster, or the cut-down legacy rtrm::Cluster that
+// bench_monitor still measures:
 //
 //   Sampler ──frames──▶ Broker ──drain──▶ ShardAggregator
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
@@ -70,13 +71,13 @@ class MonitorFabric {
 
   /// Install the sampling step observer on `cluster` and subscribe the
   /// aggregator and detector to the broker. The fabric must outlive the
-  /// cluster's run. Call once.
-  void attach(rtrm::Cluster& cluster);
-
-  /// Same fabric over the SoA engine: sampling reads the ShardedCluster's
-  /// batched per-device counters (a read catches parked state up without
-  /// waking it, so monitoring never perturbs the plant or its parking).
+  /// cluster's run. Call once. Sampling reads the ShardedCluster's batched
+  /// per-device counters (a read catches parked state up without waking it,
+  /// so monitoring never perturbs the plant or its parking).
   void attach(rtrm::ShardedCluster& cluster);
+
+  /// Same fabric over the legacy plant (bench_monitor's last use of it).
+  void attach(rtrm::Cluster& cluster);
 
   const FabricConfig& config() const { return cfg_; }
   u16 shard_of(std::size_t node) const {

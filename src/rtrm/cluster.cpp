@@ -7,14 +7,19 @@
 
 namespace antarex::rtrm {
 
-Cluster::Cluster(ClusterConfig config)
-    : config_(config),
-      dispatcher_(config.placement, config.backfill),
-      thermal_guard_(config.t_crit_c) {
+Cluster::Cluster(ClusterConfig config) : config_(config) {
   ANTAREX_REQUIRE(config_.control_period_s > 0.0,
                   "Cluster: non-positive control period");
-  if (config_.facility_cap_w)
-    power_manager_.emplace(*config_.facility_cap_w);
+  // The subset bench_monitor runs; everything else lives on ShardedCluster.
+  ANTAREX_REQUIRE(config_.governor == GovernorPolicy::Ondemand,
+                  "Cluster: only the ondemand governor is implemented");
+  ANTAREX_REQUIRE(config_.placement == PlacementPolicy::FirstFit,
+                  "Cluster: only first-fit placement is implemented");
+  ANTAREX_REQUIRE(!config_.backfill, "Cluster: backfill is not implemented");
+  ANTAREX_REQUIRE(!config_.facility_cap_w,
+                  "Cluster: a facility power cap is not implemented");
+  ANTAREX_REQUIRE(config_.thermal_guard,
+                  "Cluster: the thermal guard cannot be disabled");
 }
 
 Node& Cluster::add_node(Node node) {
@@ -59,26 +64,26 @@ void Cluster::set_reading_offset_j(std::size_t node, std::size_t dev,
 
 void Cluster::control_step() {
   TELEMETRY_SPAN("rtrm.control_step");
+  constexpr double kGuardHysteresisC = 5.0;
+  std::size_t k = 0;
   for (auto& node : nodes_) {
-    if (node.failed()) continue;  // no governor/guard action on a dead node
-    const double base_share =
-        node.device_count() > 0
-            ? node.base_power_w() / static_cast<double>(node.device_count())
-            : 0.0;
     for (auto& d : node.devices()) {
-      apply_governor(d, config_.governor, base_share);
-      if (config_.thermal_guard) thermal_guard_.step(d);
-    }
-  }
-  if (power_manager_) power_manager_->step(nodes_);
-  if (op_step_down_ > 0) {
-    for (auto& node : nodes_) {
-      if (node.failed()) continue;
-      for (auto& d : node.devices()) {
-        const std::size_t ceiling =
-            d.num_ops() > op_step_down_ ? d.num_ops() - 1 - op_step_down_ : 0;
-        if (d.op_index() > ceiling) d.set_op_index(ceiling);
+      if (k == guard_ceiling_.size()) guard_ceiling_.push_back(d.num_ops() - 1);
+      std::size_t& ceiling = guard_ceiling_[k++];
+      if (node.failed()) continue;  // no governor/guard action on a dead node
+      // Ondemand governor: the top P-state when busy, the lowest when idle.
+      d.set_op_index(d.busy() ? d.num_ops() - 1 : 0);
+      // Thermal guard: lower the persistent ceiling above t_crit, allow
+      // recovery below t_crit - hysteresis, always clamp to the ceiling.
+      const double t = d.temperature_c();
+      if (t > config_.t_crit_c && ceiling > 0) {
+        --ceiling;
+        TELEMETRY_COUNT("rtrm.thermal_throttles", 1);
+      } else if (t < config_.t_crit_c - kGuardHysteresisC &&
+                 ceiling + 1 < d.num_ops()) {
+        ++ceiling;
       }
+      if (d.op_index() > ceiling) d.set_op_index(ceiling);
     }
   }
 }
@@ -156,13 +161,5 @@ bool Cluster::run_until_idle(double max_s, double dt_s) {
   }
   return dispatcher_.queued() == 0 && dispatcher_.running() == 0;
 }
-
-double Cluster::it_power_w() const {
-  double p = 0.0;
-  for (const auto& node : nodes_) p += node.power_w();
-  return p;
-}
-
-double Cluster::pue() const { return cooling_.pue(it_power_w(), config_.ambient_c); }
 
 }  // namespace antarex::rtrm

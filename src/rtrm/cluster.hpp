@@ -1,18 +1,21 @@
-// The top-level simulated supercomputer: nodes + dispatcher + governors +
-// hierarchical controllers + cooling plant, advanced on a logical clock.
+// The legacy object-model plant: Node and Device objects stepped one by one
+// on a logical clock, with the dispatcher, the ondemand governor, the thermal
+// guard and the cooling model.
 //
-// This is the "runtime resource manager (RTRM)" box of the paper's Figure 1
-// together with the plant it manages.
+// rtrm::ShardedCluster is the plant; this one survives only for
+// bench_monitor, whose port waits on cheaper observers. It implements what
+// that bench runs (ondemand governor, first-fit FCFS placement, no backfill,
+// no facility cap, thermal guard on) and rejects any other ClusterConfig.
+// tests/test_sharded_cluster.cpp keeps it pinned to the recorded plant
+// oracles.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "power/cooling.hpp"
-#include "rtrm/controllers.hpp"
+#include "rtrm/config.hpp"
 #include "rtrm/dispatcher.hpp"
-#include "rtrm/governor.hpp"
 #include "rtrm/node.hpp"
 #include "support/sim_clock.hpp"
 
@@ -22,44 +25,51 @@ class ThreadPool;
 
 namespace antarex::rtrm {
 
-struct ClusterConfig {
-  GovernorPolicy governor = GovernorPolicy::Ondemand;
-  PlacementPolicy placement = PlacementPolicy::FirstFit;
-  bool backfill = false;  ///< EASY backfilling in the job dispatcher
-  double control_period_s = 1.0;          ///< governor/controller cadence
-  double ambient_c = 18.0;                ///< machine-room ambient
-  std::optional<double> facility_cap_w;   ///< cluster power cap, if any
-  bool thermal_guard = true;
-  double t_crit_c = 85.0;
-};
-
-struct ClusterTelemetry {
-  double time_s = 0.0;
-  double it_energy_j = 0.0;       ///< integrated IT (node) energy
-  double facility_energy_j = 0.0; ///< IT + cooling + overhead
-  double peak_it_power_w = 0.0;
-  double max_temperature_c = 0.0;
-  u64 jobs_completed = 0;
-  u64 jobs_failed = 0;  ///< jobs that exhausted their retry budget
-};
-
 class Cluster {
  public:
   explicit Cluster(ClusterConfig config = {});
 
   Node& add_node(Node node);
-  std::vector<Node>& nodes() { return nodes_; }
-  const std::vector<Node>& nodes() const { return nodes_; }
 
   // --- state reads, named as on ShardedCluster so code generic over the
-  // plant (the monitor fabric's sampler) is written once -------------------
+  // plant (the monitor fabric's sampler, the canonical state trace) is
+  // written once --------------------------------------------------------------
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t node_device_count(std::size_t node) const {
     return nodes_[node].device_count();
   }
   bool node_failed(std::size_t node) const { return nodes_[node].failed(); }
+  u64 node_crashes(std::size_t node) const { return nodes_[node].crashes(); }
+  double node_downtime_s(std::size_t node) const {
+    return nodes_[node].downtime_s();
+  }
+  double node_energy_j(std::size_t node) const {
+    return nodes_[node].rapl().total_j();
+  }
+  double node_power_w(std::size_t node) const { return nodes_[node].power_w(); }
   double node_base_power_w(std::size_t node) const {
     return nodes_[node].base_power_w();
+  }
+  std::size_t device_op_index(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).op_index();
+  }
+  bool device_throttled(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).throttled();
+  }
+  double device_slowdown(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).slowdown();
+  }
+  double device_energy_j(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).rapl().total_j();
+  }
+  double device_busy_seconds(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).busy_seconds();
+  }
+  u64 device_completed_jobs(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).completed_jobs();
+  }
+  u64 device_interrupted_jobs(std::size_t node, std::size_t dev) const {
+    return nodes_[node].device(dev).interrupted_jobs();
   }
   u32 device_counter_uj(std::size_t node, std::size_t dev) const {
     return nodes_[node].device(dev).rapl().counter_uj();
@@ -76,9 +86,6 @@ class Cluster {
 
   Dispatcher& dispatcher() { return dispatcher_; }
   const Dispatcher& dispatcher() const { return dispatcher_; }
-  const ClusterConfig& config() const { return config_; }
-  void set_ambient_c(double c) { config_.ambient_c = c; }
-  void set_governor(GovernorPolicy g) { config_.governor = g; }
 
   void submit(Job job) { dispatcher_.submit(std::move(job)); }
 
@@ -89,8 +96,6 @@ class Cluster {
   void fail_node(std::size_t i);
   /// Bring node i back online; it accepts work again on the next place().
   void repair_node(std::size_t i);
-  /// O(1): maintained on fail/repair instead of rescanning every node — the
-  /// fault injector and cap coordinator poll this every step.
   std::size_t nodes_down() const { return down_count_; }
   /// Fault actuation, named as on ShardedCluster so the fault driver is
   /// written once over the plant.
@@ -112,34 +117,14 @@ class Cluster {
   /// Returns true if everything completed.
   bool run_until_idle(double max_s = 1e7, double dt_s = 0.25);
 
-  /// Global DVFS actuation: clamp every device to (num_ops - 1 - steps) at
-  /// each control step, i.e. `steps` P-states below its top. 0 restores
-  /// nominal. Composes with per-device ceilings — the lower clamp wins.
-  void set_op_step_down(std::size_t steps) { op_step_down_ = steps; }
-  std::size_t op_step_down() const { return op_step_down_; }
-
-  /// Observe every simulation step after it lands:
-  /// fn(now_s, it_power_w, dt_s). Lets the obs layer drive energy sampling
-  /// and policy ticks off the simulation clock. Pass nullptr to detach all
-  /// observers installed through either setter.
-  void set_step_observer(std::function<void(double, double, double)> fn) {
-    step_observers_.clear();
-    if (fn) step_observers_.push_back(std::move(fn));
-  }
-
-  /// Attach an additional observer without displacing existing ones — the
-  /// fault injector and the obs sampler can watch the same cluster. Observers
-  /// fire in attachment order, on the simulation thread.
+  /// Observe every simulation step after it lands: fn(now_s, it_power_w,
+  /// dt_s). Observers fire in attachment order, on the simulation thread.
   void add_step_observer(std::function<void(double, double, double)> fn) {
     ANTAREX_REQUIRE(fn != nullptr, "Cluster: null step observer");
     step_observers_.push_back(std::move(fn));
   }
 
-  double now_s() const { return clock_.now(); }
-  double it_power_w() const;
-  double pue() const;
   const ClusterTelemetry& telemetry() const { return telemetry_; }
-  const power::CoolingModel& cooling() const { return cooling_; }
 
  private:
   void control_step();
@@ -148,13 +133,12 @@ class Cluster {
   std::vector<Node> nodes_;
   Dispatcher dispatcher_;
   power::CoolingModel cooling_;
-  std::optional<ClusterPowerManager> power_manager_;
-  ThermalGuard thermal_guard_;
+  /// Thermal-guard P-state ceiling per device, node-major (sized lazily).
+  std::vector<std::size_t> guard_ceiling_;
   SimClock clock_;
   double next_control_s_ = 0.0;
   ClusterTelemetry telemetry_;
   std::vector<std::function<void(double, double, double)>> step_observers_;
-  std::size_t op_step_down_ = 0;
   exec::ThreadPool* pool_ = nullptr;
   std::size_t down_count_ = 0;
 };

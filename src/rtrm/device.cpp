@@ -29,11 +29,6 @@ void Device::assign(power::WorkloadModel w, double units, u64 job_id) {
   job_id_ = job_id;
 }
 
-std::optional<u64> Device::running_job() const {
-  if (!busy()) return std::nullopt;
-  return job_id_;
-}
-
 void Device::force_throttle(double duration_s) {
   ANTAREX_REQUIRE(duration_s >= 0.0, "Device: negative throttle duration");
   throttle_hold_s_ = std::max(throttle_hold_s_, duration_s);

@@ -24,7 +24,6 @@ class Device {
 
   const std::string& name() const { return name_; }
   const power::DeviceSpec& spec() const { return model_.spec(); }
-  const power::PowerModel& power_model() const { return model_; }
 
   // --- operating point ------------------------------------------------------
   std::size_t op_index() const { return op_index_; }
@@ -63,9 +62,6 @@ class Device {
   /// Assign `units` of work characterized by `w`. Fails if busy.
   void assign(power::WorkloadModel w, double units, u64 job_id);
   bool busy() const { return units_remaining_ > 0.0; }
-  std::optional<u64> running_job() const;
-  double units_remaining() const { return units_remaining_; }
-  const power::WorkloadModel& workload() const { return workload_; }
 
   // --- simulation -----------------------------------------------------------
   /// Advance dt seconds: progress assigned work at the current operating

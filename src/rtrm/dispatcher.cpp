@@ -3,22 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "power/model.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::rtrm {
 
-const char* placement_name(PlacementPolicy p) {
-  switch (p) {
-    case PlacementPolicy::FirstFit: return "first-fit";
-    case PlacementPolicy::FastestFirst: return "fastest-first";
-    case PlacementPolicy::EnergyAware: return "energy-aware";
-  }
-  return "?";
+namespace {
+constexpr double kBackoffBaseS = 2.0;
 }
-
-Dispatcher::Dispatcher(PlacementPolicy policy, bool backfill)
-    : policy_(policy), backfill_(backfill) {}
 
 void Dispatcher::submit(Job job) {
   ANTAREX_REQUIRE(!job.profiles.empty(), "Dispatcher: job with no device profiles");
@@ -27,103 +18,37 @@ void Dispatcher::submit(Job job) {
   TELEMETRY_COUNT("rtrm.jobs.submitted", 1);
 }
 
-Device* Dispatcher::choose_device(std::vector<Node>& nodes, const Job& job) const {
-  Device* best = nullptr;
-  double best_score = 0.0;
-  for (auto& node : nodes) {
-    if (node.failed()) continue;  // a downed node accepts no work
-    for (auto& d : node.devices()) {
-      if (d.busy() || !job.can_run_on(d.spec().type)) continue;
-      if (policy_ == PlacementPolicy::FirstFit) return &d;
-      const power::WorkloadModel& w = job.profile(d.spec().type);
-      double score = 0.0;
-      if (policy_ == PlacementPolicy::FastestFirst) {
-        score = w.execution_time_s(d.op()) * d.slowdown() * job.units_remaining();
-      } else {  // EnergyAware
-        score = power::energy_j(d.power_model(), w, d.op(), job.units_remaining(),
-                                d.temperature_c());
-      }
-      if (!best || score < best_score) {
-        best = &d;
-        best_score = score;
-      }
-    }
-  }
-  return best;
-}
-
-void Dispatcher::start(Job job, Device& device, double now_s) {
-  job.state = JobState::Running;
-  job.start_time_s = now_s;
-  job.device_name = device.name();
-  // Resume from the last checkpoint: only the unfinished units are assigned.
-  device.assign(job.profile(device.spec().type), job.units_remaining(), job.id);
-  emit("dispatch", job.id, now_s);
-  running_.push_back(std::move(job));
-  TELEMETRY_COUNT("rtrm.jobs.dispatched", 1);
-}
-
-double Dispatcher::predicted_remaining_s(const Device& d) {
-  if (!d.busy()) return 0.0;
-  return d.units_remaining() * d.workload().execution_time_s(d.op()) *
-         d.slowdown();
-}
-
 void Dispatcher::place(std::vector<Node>& nodes, double now_s) {
   TELEMETRY_SPAN("rtrm.dispatch");
-  // FCFS over the *eligible* queue: jobs still in crash backoff are skipped
-  // without blocking the jobs behind them.
-  auto first_eligible = [&]() {
-    return std::find_if(queue_.begin(), queue_.end(), [&](const Job& j) {
+  while (true) {
+    // FCFS over the *eligible* queue: jobs still in crash backoff are skipped
+    // without blocking the jobs behind them.
+    const auto head = std::find_if(queue_.begin(), queue_.end(), [&](const Job& j) {
       return j.not_before_s <= now_s;
     });
-  };
-  while (true) {
-    auto head_it = first_eligible();
-    if (head_it == queue_.end()) break;
-    Job& head = *head_it;
-    Device* d = choose_device(nodes, head);
-    if (d) {
-      start(std::move(head), *d, now_s);
-      queue_.erase(head_it);
-      continue;
-    }
-    if (!backfill_) break;  // plain FCFS: head blocks
-
-    // EASY backfill. Reserve for the head the busy compatible device with
-    // the shortest predicted remaining time.
-    const Device* reserved = nullptr;
-    double reservation_s = 0.0;
+    if (head == queue_.end()) break;
+    Device* free = nullptr;
     for (auto& node : nodes) {
-      if (node.failed()) continue;
-      for (auto& dev : node.devices()) {
-        if (!head.can_run_on(dev.spec().type)) continue;
-        const double rem = predicted_remaining_s(dev);
-        if (!reserved || rem < reservation_s) {
-          reserved = &dev;
-          reservation_s = rem;
+      if (node.failed()) continue;  // a downed node accepts no work
+      for (auto& d : node.devices())
+        if (!d.busy() && head->can_run_on(d.spec().type)) {
+          free = &d;
+          break;
         }
-      }
+      if (free) break;
     }
-    if (!reserved) break;  // no compatible device exists at all
+    if (!free) break;  // the head blocks
 
-    // Try to start one later job without endangering the reservation: it may
-    // use any free device other than the reserved one freely; the reserved
-    // device itself is busy (that is why the head waits), so "other free
-    // devices" is the whole opportunity set.
-    bool placed_any = false;
-    for (auto it = std::next(head_it); it != queue_.end(); ++it) {
-      if (it->not_before_s > now_s) continue;  // backoff: not eligible yet
-      Device* fit = choose_device(nodes, *it);
-      if (!fit || fit == reserved) continue;
-      start(std::move(*it), *fit, now_s);
-      queue_.erase(it);
-      ++backfilled_;
-      TELEMETRY_COUNT("rtrm.jobs.backfilled", 1);
-      placed_any = true;
-      break;  // re-evaluate from the head after each placement
-    }
-    if (!placed_any) break;
+    Job job = std::move(*head);
+    queue_.erase(head);
+    job.state = JobState::Running;
+    job.start_time_s = now_s;
+    job.device_name = free->name();
+    // Resume from the last checkpoint: only the unfinished units are assigned.
+    free->assign(job.profile(free->spec().type), job.units_remaining(), job.id);
+    emit("dispatch", job.id, now_s);
+    running_.push_back(std::move(job));
+    TELEMETRY_COUNT("rtrm.jobs.dispatched", 1);
   }
   TELEMETRY_GAUGE("rtrm.queue_depth", static_cast<double>(queue_.size()));
 }
@@ -172,8 +97,7 @@ void Dispatcher::on_node_failed(
     }
     job.state = JobState::Queued;
     job.device_name.clear();
-    job.not_before_s =
-        now_s + backoff_base_s_ * std::ldexp(1.0, job.attempts - 1);
+    job.not_before_s = now_s + kBackoffBaseS * std::ldexp(1.0, job.attempts - 1);
     ++requeued_;
     TELEMETRY_COUNT("rtrm.jobs.requeued", 1);
     emit("requeue", job_id, now_s);

@@ -36,11 +36,6 @@ class Node {
 
   /// Node-level energy counter (sum of device RAPL + base overhead).
   const power::RaplDomain& rapl() const { return rapl_; }
-  /// Mutable counter access for sensor-glitch injection (antarex::fault).
-  power::RaplDomain& rapl() { return rapl_; }
-
-  /// Aggregate peak compute at the devices' current operating points.
-  double peak_gflops() const;
 
   // --- failure state --------------------------------------------------------
   /// Crash the node: every running job is interrupted and returned as

@@ -1,24 +1,27 @@
-// Exascale-sharded cluster simulation (ROADMAP item 1).
+// The simulated cluster plant: the "runtime resource manager (RTRM)" box of
+// the paper's Figure 1 together with the machine it manages — dispatcher,
+// governors, hierarchical power controllers, thermal guard and cooling
+// model, advanced on a logical clock.
 //
-// ShardedCluster re-implements the rtrm::Cluster plant over compact
-// structure-of-arrays state partitioned into shards of contiguous nodes:
-// per-device scalars live in flat arrays instead of Node/Device objects, and
-// each shard keeps a sorted calendar of *active* nodes so settled (parked)
-// nodes cost nothing per tick. Shards step independently — in parallel on the
-// antarex::exec pool — and their results merge serially in fixed shard order,
-// so a run is byte-identical across 1/2/8 workers and any shard count, and
-// byte-identical to the legacy per-object Cluster (the differential suite in
-// tests/test_sharded_cluster.cpp asserts exactly that).
+// State is compact structure-of-arrays partitioned into shards of contiguous
+// nodes: per-device scalars live in flat arrays, and each shard keeps a
+// sorted calendar of *active* nodes so settled (parked) nodes cost nothing
+// per tick. Shards step independently — in parallel on the antarex::exec
+// pool — and their results merge serially in fixed shard order, so a run is
+// byte-identical across 1/2/8 workers and any shard count. The oracle traces
+// under tests/golden/plant_oracle_*.txt, recorded from the original
+// per-object stepper, pin every observable bit for bit
+// (tests/test_sharded_cluster.cpp).
 //
 // Bit-identity is by construction, not by tolerance: every floating-point
-// expression of the legacy path (power::PowerModel, power::ThermalModel,
-// device/node stepping, governors, controllers, dispatcher scoring) is
-// evaluated through the *same* shared static helpers, in the same order.
-// Parking is an exact-arithmetic shortcut: a device parks only when one more
-// step would provably reproduce its state bit-for-bit (temperature at the
-// discrete fixed point, idle, no throttle decay), and the skipped per-step
-// energy/downtime additions are replayed as the identical sequence of
-// additions when the device is next observed or mutated.
+// expression (power::PowerModel, power::ThermalModel, device/node stepping,
+// governors, controllers, dispatcher scoring) is evaluated through shared
+// static helpers, in a fixed order. Parking is an exact-arithmetic shortcut:
+// a device parks only when one more step would provably reproduce its state
+// bit-for-bit (temperature at the discrete fixed point, idle, no throttle
+// decay), and the skipped per-step energy/downtime additions are replayed as
+// the identical sequence of additions when the device is next observed or
+// mutated.
 #pragma once
 
 #include <array>
@@ -32,7 +35,8 @@
 #include "power/cooling.hpp"
 #include "power/dvfs.hpp"
 #include "power/model.hpp"
-#include "rtrm/cluster.hpp"
+#include "power/rapl.hpp"
+#include "rtrm/config.hpp"
 #include "rtrm/job.hpp"
 #include "support/sim_clock.hpp"
 
@@ -44,10 +48,15 @@ namespace antarex::rtrm {
 
 class ShardedCluster;
 
-/// The legacy Dispatcher's exact placement/backfill/retry semantics over the
-/// SoA device arrays: per-type free-device index sets replace the
-/// all-nodes-all-devices scan, visited in ascending global device index so
-/// every policy keeps the legacy first-seen tie-break.
+/// FCFS job placement with optional EASY backfill and crash retry over the
+/// SoA device arrays: per-type free-device index sets are visited in
+/// ascending global device index, so every policy breaks ties towards the
+/// first device in node order.
+///
+/// Resilience (antarex::fault): jobs interrupted by node crashes are restored
+/// from their last checkpoint and requeued with per-attempt exponential
+/// backoff; a job that keeps dying is reported Failed after max_attempts, so
+/// every submitted job ends in exactly one of {Done, Failed}.
 class ShardedDispatcher {
  public:
   using EventHook = std::function<void(const char* kind, u64 job_id, double t)>;
@@ -193,6 +202,9 @@ class ShardedCluster {
   /// equal-power weight-1 neighbour. Defaults to 1; the weight table is
   /// allocated on the first weight != 1.
   void set_device_weight(u32 device, double weight);
+  /// Budget the node's power controller enforces: the last
+  /// apply_node_budget() value or facility power-manager allocation.
+  double node_budget_w(std::size_t node) const { return node_budget_w_[node]; }
   /// Node power floor: base + every device idle at its lowest P-state (the
   /// same floor the facility power manager computes).
   double node_floor_w(std::size_t node) const;
@@ -406,8 +418,8 @@ class ShardedCluster {
   std::vector<double> pm_demand_;
 };
 
-/// A cluster description buildable on either engine — the differential tests
-/// and scale benches construct byte-identical twins from one blueprint.
+/// A seed-deterministic cluster description: tests and scale benches build
+/// identical plants from one blueprint.
 struct ClusterBlueprint {
   struct NodeDef {
     double base_power_w = 60.0;
@@ -416,7 +428,6 @@ struct ClusterBlueprint {
   std::vector<power::DeviceSpec> specs;
   std::vector<NodeDef> nodes;
 
-  void build(Cluster& cluster) const;
   void build(ShardedCluster& cluster) const;
 
   /// Heterogeneous Mont-Blanc-style mix (thin CPU / MIC / GPU nodes) with

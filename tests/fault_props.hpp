@@ -1,8 +1,8 @@
 // Shared property-based invariant suite for antarex::fault.
 //
-// Each seed builds a randomized small cluster + fault environment, runs it
-// through a faulted window plus a drain phase, and checks the three core
-// resilience invariants:
+// Each seed builds a randomized small rtrm::ShardedCluster (one shard per
+// node) + fault environment, runs it through a faulted window plus a drain
+// phase, and checks the three core resilience invariants:
 //   1. No lost jobs — every submitted job ends Done or Failed.
 //   2. Energy conservation — the cluster's integrated IT energy equals the
 //      sum of the per-node RAPL counters (glitches corrupt readings, never
@@ -46,15 +46,14 @@ inline ScenarioResult run_fault_scenario(u64 seed) {
   cfg.backfill = rng.bernoulli(0.5);
   cfg.placement = rng.bernoulli(0.5) ? rtrm::PlacementPolicy::FirstFit
                                      : rtrm::PlacementPolicy::FastestFirst;
-  rtrm::Cluster cluster(cfg);
-
   const std::size_t n_nodes = 2 + rng.index(3);
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  rtrm::ShardedClusterConfig scfg;
+  scfg.base = cfg;
+  scfg.shards = n_nodes;
+  rtrm::ShardedCluster cluster(scfg);
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < n_nodes; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability{}}});
 
   const std::size_t n_jobs = 6 + rng.index(8);
   for (std::size_t j = 0; j < n_jobs; ++j) {
@@ -106,7 +105,8 @@ inline ScenarioResult run_fault_scenario(u64 seed) {
   res.completed = cluster.dispatcher().completed();
   res.failed = cluster.dispatcher().failed();
   res.it_energy_j = cluster.telemetry().it_energy_j;
-  for (const auto& node : cluster.nodes()) res.rapl_sum_j += node.rapl().total_j();
+  for (std::size_t i = 0; i < n_nodes; ++i)
+    res.rapl_sum_j += cluster.node_energy_j(i);
 
   double last_event_s = 0.0;
   for (std::size_t i = 0; i < injector.applied(); ++i) {

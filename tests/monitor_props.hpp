@@ -1,8 +1,9 @@
 // Shared property-based invariant suite for antarex::monitor.
 //
-// Each seed builds a randomized monitored cluster (8-24 nodes over 2-8
-// shards) under a randomized glitch/throttle/slowdown fault environment,
-// runs it for a faulted window, and checks the monitoring invariants:
+// Each seed builds a randomized monitored rtrm::ShardedCluster (8-24 nodes
+// over 2-8 plant and fabric shards) under a randomized glitch/throttle/
+// slowdown fault environment, runs it for a faulted window, and checks the
+// monitoring invariants:
 //   1. Frame accounting — every published frame is either delivered or
 //      counted as dropped, and the aggregator saw exactly the delivered ones.
 //   2. Detection quality — against the schedule's ground truth, the detector
@@ -64,13 +65,12 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
   res.n_nodes = 8 + rng.index(17);          // 8..24
   res.shards = static_cast<u16>(2 + rng.index(7));  // 2..8
 
-  rtrm::Cluster cluster;
-  for (std::size_t i = 0; i < res.n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.shards = res.shards;
+  rtrm::ShardedCluster cluster(ccfg);
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < res.n_nodes; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability{}}});
   // One long-running job per node, all ranks of the same application: the
   // shard-level baselines assume partition-homogeneous work (heterogeneous
   // jobs inflate the MAD until per-node deviations drown — by design, that

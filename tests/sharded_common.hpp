@@ -1,8 +1,8 @@
-// Shared fixtures for the sharded-cluster differential and property suites:
-// seed-deterministic job mixes, fault environments, and the canonical state
-// trace. The trace reads every per-node and per-device observable of a run at
-// full precision through engine-specific accessors but one shared format —
-// two runs simulate the same plant iff their traces are byte-identical.
+// Shared fixtures for the plant oracle and property suites: seed-
+// deterministic job mixes, fault environments, and the canonical state trace.
+// The trace reads every per-node and per-device observable of a run at full
+// precision through the accessors both plants name alike — two runs simulate
+// the same plant iff their traces are byte-identical.
 #pragma once
 
 #include <cstdarg>
@@ -10,7 +10,6 @@
 #include <string>
 
 #include "fault/schedule.hpp"
-#include "rtrm/cluster.hpp"
 #include "rtrm/sharded_cluster.hpp"
 #include "support/rng.hpp"
 
@@ -18,7 +17,7 @@ namespace antarex::rtrm {
 
 /// Seed-deterministic heterogeneous job mix: every job can run on a CPU;
 /// about half also profile a GPU and a third a MIC, with different costs —
-/// exercising the dispatcher's multi-type placement on both engines.
+/// exercising the dispatcher's multi-type placement.
 template <typename ClusterLike>
 inline void submit_job_mix(ClusterLike& cluster, u64 seed, std::size_t n_jobs) {
   Rng rng(seed ^ 0x0b5eed5ULL);
@@ -55,8 +54,8 @@ inline void submit_job_mix(ClusterLike& cluster, u64 seed, std::size_t n_jobs) {
   }
 }
 
-/// Fault environment shared by both engines: every node has >= 2 devices in
-/// ClusterBlueprint::exascale, so device-targeted events stay in range.
+/// Fault environment for the blueprint plants: every node has >= 2 devices
+/// in ClusterBlueprint::exascale, so device-targeted events stay in range.
 inline fault::FaultSchedule make_fault_schedule(std::size_t nodes,
                                                 double horizon_s, u64 seed) {
   fault::FaultModel model;
@@ -95,47 +94,10 @@ inline void job_lines(std::string& out, const std::vector<Job>& jobs,
 
 }  // namespace trace_detail
 
-/// Canonical state trace of a legacy Cluster run.
-inline std::string state_trace(Cluster& c) {
-  using trace_detail::line;
-  std::string out;
-  for (std::size_t i = 0; i < c.nodes().size(); ++i) {
-    Node& node = c.nodes()[i];
-    line(out, "node %zu failed=%d crashes=%llu down=%.17g e=%.17g p=%.17g\n",
-         i, node.failed() ? 1 : 0,
-         static_cast<unsigned long long>(node.crashes()), node.downtime_s(),
-         node.rapl().total_j(), node.power_w());
-    for (std::size_t d = 0; d < node.device_count(); ++d) {
-      Device& dev = node.device(d);
-      line(out,
-           "  dev %zu op=%zu busy=%d thr=%d slow=%.17g temp=%.17g e=%.17g "
-           "uj=%u busy_s=%.17g done=%llu intr=%llu\n",
-           d, dev.op_index(), dev.busy() ? 1 : 0, dev.throttled() ? 1 : 0,
-           dev.slowdown(), dev.temperature_c(), dev.rapl().total_j(),
-           dev.rapl().counter_uj(), dev.busy_seconds(),
-           static_cast<unsigned long long>(dev.completed_jobs()),
-           static_cast<unsigned long long>(dev.interrupted_jobs()));
-    }
-  }
-  const ClusterTelemetry& t = c.telemetry();
-  line(out,
-       "final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g maxt=%.17g "
-       "done=%llu fail=%llu\n",
-       t.time_s, t.it_energy_j, t.facility_energy_j, t.peak_it_power_w,
-       t.max_temperature_c, static_cast<unsigned long long>(t.jobs_completed),
-       static_cast<unsigned long long>(t.jobs_failed));
-  line(out, "disp q=%zu run=%zu done=%zu fail=%zu requeue=%llu backfill=%llu\n",
-       c.dispatcher().queued(), c.dispatcher().running(),
-       c.dispatcher().completed(), c.dispatcher().failed(),
-       static_cast<unsigned long long>(c.dispatcher().requeued_jobs()),
-       static_cast<unsigned long long>(c.dispatcher().backfilled_jobs()));
-  trace_detail::job_lines(out, c.dispatcher().completed_jobs(), "jobC");
-  trace_detail::job_lines(out, c.dispatcher().failed_jobs(), "jobF");
-  return out;
-}
-
-/// The same trace over a ShardedCluster — byte-identical iff the runs were.
-inline std::string state_trace(ShardedCluster& c) {
+/// Canonical state trace of a plant run (rtrm::ShardedCluster, or the
+/// legacy rtrm::Cluster that bench_monitor still measures).
+template <typename Plant>
+std::string state_trace(Plant& c) {
   using trace_detail::line;
   std::string out;
   for (std::size_t i = 0; i < c.node_count(); ++i) {

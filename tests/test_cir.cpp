@@ -242,6 +242,26 @@ TEST(Parser, NestingDepthIsBoundedByAnError) {
                Error);
 }
 
+// `term op term op ...` with `terms` terms: a left-deep chain that parses
+// iteratively, so no nesting bound applies.
+std::string chain(std::size_t terms, const char* op, const char* term) {
+  std::string s = term;
+  s.reserve(terms * (std::char_traits<char>::length(op) + 1));
+  for (std::size_t i = 1; i < terms; ++i) (s += op) += term;
+  return s;
+}
+
+TEST(Parser, MillionTermChainsParseAndFree) {
+  // Freed one frame per link, these crashed the process at ~1M terms.
+  ExprPtr sum = parse_expression(chain(1000000, "+", "1"));
+  ASSERT_EQ(sum->kind, ExprKind::Binary);
+  sum.reset();
+  EXPECT_NO_THROW(parse_expression(chain(1000000, "&&", "x")));
+  auto m = parse_module("int f(int x) { return " + chain(1000000, "*", "x") +
+                        "; }");
+  EXPECT_NE(m->find("f"), nullptr);
+}
+
 TEST(Parser, DuplicateFunctionNameRejected) {
   EXPECT_THROW(parse_module("void f() { } void f() { }"), Error);
 }

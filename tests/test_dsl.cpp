@@ -163,6 +163,26 @@ TEST(DslParser, NestingDepthIsBoundedByAnError) {
   EXPECT_THROW(parse_dsl_expression(std::string(100000, '-') + "1"), Error);
 }
 
+// `term op term op ...` with `terms` terms: a left-deep chain that parses
+// iteratively, so no nesting bound applies.
+std::string chain(std::size_t terms, const char* op, const char* term) {
+  std::string s = term;
+  s.reserve(terms * (std::char_traits<char>::length(op) + 1));
+  for (std::size_t i = 1; i < terms; ++i) (s += op) += term;
+  return s;
+}
+
+TEST(DslParser, MillionTermChainsParseAndFree) {
+  // Freed one frame per link, these crashed the process at ~1M terms.
+  DExprPtr sum = parse_dsl_expression(chain(1000000, "+", "1"));
+  ASSERT_EQ(sum->kind, DExprKind::Binary);
+  sum.reset();
+  EXPECT_NO_THROW(parse_dsl_expression(chain(1000000, ".", "$a")));
+  const AspectLibrary lib = parse_aspects(
+      "aspectdef A condition " + chain(1000000, " && ", "$x") + " end end");
+  EXPECT_NE(lib.find("A"), nullptr);
+}
+
 TEST(DslParser, EmptyApplyIsAccepted) {
   const AspectLibrary lib =
       parse_aspects("aspectdef A select fCall end apply end end");

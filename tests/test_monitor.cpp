@@ -2,10 +2,12 @@
 // delivery order and drop accounting, the bounded-memory aggregation pieces
 // (retention ring, space-saving top-K), the anomaly detector's
 // per-kind semantics on synthetic frames, ground-truth evaluation, and the
-// assembled fabric end-to-end on a small faulted cluster.
+// assembled fabric end-to-end on a small faulted rtrm::ShardedCluster.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -524,18 +526,18 @@ WorkloadModel cpu_work() {
   return w;
 }
 
-rtrm::Cluster make_cluster(std::size_t nodes) {
-  rtrm::Cluster c;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    rtrm::Node n("n" + std::to_string(i), 40.0);
-    n.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                              DeviceSpec::xeon_haswell()));
-    c.add_node(std::move(n));
-  }
+/// `nodes` nodes of one Xeon socket each, 40 W base power.
+rtrm::ShardedCluster make_cluster(std::size_t nodes) {
+  rtrm::ShardedClusterConfig cfg;
+  cfg.shards = 2;
+  rtrm::ShardedCluster c(cfg);
+  const u32 cpu = c.add_spec(DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < nodes; ++i)
+    c.add_node(40.0, {{cpu, power::Variability{}}});
   return c;
 }
 
-void submit_long_jobs(rtrm::Cluster& c, std::size_t jobs) {
+void submit_long_jobs(rtrm::ShardedCluster& c, std::size_t jobs) {
   for (std::size_t j = 1; j <= jobs; ++j) {
     rtrm::Job job;
     job.id = j;
@@ -561,7 +563,7 @@ fault::FaultSchedule faulted_schedule(double horizon_s) {
 
 std::string run_monitored(int threads, double horizon_s,
                           std::string* health_out) {
-  rtrm::Cluster cluster = make_cluster(8);
+  rtrm::ShardedCluster cluster = make_cluster(8);
   submit_long_jobs(cluster, 8);
 
   FabricConfig cfg;
@@ -590,7 +592,7 @@ std::string run_monitored(int threads, double horizon_s,
 }
 
 TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
-  rtrm::Cluster cluster = make_cluster(8);
+  rtrm::ShardedCluster cluster = make_cluster(8);
   submit_long_jobs(cluster, 8);
 
   FabricConfig cfg;
@@ -648,7 +650,7 @@ TEST(Fabric, ByteIdenticalAcrossExecThreadCounts) {
 }
 
 TEST(Fabric, DownedNodesStopPublishing) {
-  rtrm::Cluster cluster = make_cluster(4);
+  rtrm::ShardedCluster cluster = make_cluster(4);
   submit_long_jobs(cluster, 4);
   MonitorFabric fabric;
   fabric.attach(cluster);
@@ -666,31 +668,13 @@ TEST(Fabric, DownedNodesStopPublishing) {
 }
 
 // --------------------------------------------------------------------------
-// Plant parity: one sampler over either engine
+// Plant parity: the sampler's view of the sharded plant equals the health
+// document recorded from the original per-object plant, at any shard count
 // --------------------------------------------------------------------------
 
 constexpr std::size_t kParityNodes = 48;
 constexpr double kParityHorizonS = 120.0;
 constexpr u64 kParitySeed = 19;
-
-FabricConfig parity_fabric_config() {
-  FabricConfig cfg;
-  cfg.time_self = false;
-  return cfg;
-}
-
-std::string legacy_health() {
-  rtrm::Cluster cluster;
-  rtrm::ClusterBlueprint::exascale(kParitySeed, kParityNodes).build(cluster);
-  rtrm::submit_job_mix(cluster, kParitySeed, 2 * kParityNodes);
-  MonitorFabric fabric(parity_fabric_config());
-  fabric.attach(cluster);
-  fault::FaultInjector injector(
-      cluster,
-      rtrm::make_fault_schedule(kParityNodes, kParityHorizonS, kParitySeed));
-  cluster.run_for(kParityHorizonS, 0.25);
-  return fabric.health_json();
-}
 
 std::string sharded_health(std::size_t shards) {
   rtrm::ShardedClusterConfig cfg;
@@ -698,7 +682,9 @@ std::string sharded_health(std::size_t shards) {
   rtrm::ShardedCluster cluster(cfg);
   rtrm::ClusterBlueprint::exascale(kParitySeed, kParityNodes).build(cluster);
   rtrm::submit_job_mix(cluster, kParitySeed, 2 * kParityNodes);
-  MonitorFabric fabric(parity_fabric_config());
+  FabricConfig fcfg;
+  fcfg.time_self = false;
+  MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
   fault::FaultInjector driver(
       cluster,
@@ -707,12 +693,17 @@ std::string sharded_health(std::size_t shards) {
   return fabric.health_json();
 }
 
-TEST(Fabric, HealthJsonIsIdenticalOnLegacyAndShardedPlants) {
-  const std::string legacy = legacy_health();
+TEST(Fabric, HealthJsonMatchesTheRecordedPlantOracle) {
+  std::ifstream in(std::string(ANTAREX_GOLDEN_DIR) +
+                       "/monitor_oracle_health_19.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing monitor_oracle_health_19.json";
+  std::stringstream oracle;
+  oracle << in.rdbuf();
   // The faulted run must exercise the whole document, episodes included.
-  ASSERT_NE(legacy.find("\"episodes\":[{"), std::string::npos);
-  EXPECT_EQ(legacy, sharded_health(1));
-  EXPECT_EQ(legacy, sharded_health(4));
+  ASSERT_NE(oracle.str().find("\"episodes\":[{"), std::string::npos);
+  EXPECT_EQ(oracle.str(), sharded_health(1));
+  EXPECT_EQ(oracle.str(), sharded_health(4));
 }
 
 // --------------------------------------------------------------------------

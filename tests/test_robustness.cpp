@@ -11,7 +11,7 @@
 #include "dsl/weaver.hpp"
 #include "nav/nav.hpp"
 #include "power/model.hpp"
-#include "rtrm/cluster.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "tuner/autotuner.hpp"
 #include "vm/engine.hpp"
 
@@ -109,11 +109,9 @@ TEST(WeaverErrors, RecursiveAspectsAreCut) {
 // --------------------------------------------------------------------------
 
 TEST(ClusterInvariants, EnergyMonotoneAndFacilityAboveIt) {
-  rtrm::ClusterConfig cfg;
-  rtrm::Cluster cluster(cfg);
-  rtrm::Node n("n0");
-  n.add_device(rtrm::Device("c0", power::DeviceSpec::xeon_haswell()));
-  cluster.add_node(std::move(n));
+  rtrm::ShardedCluster cluster;
+  cluster.add_node(
+      60.0, {{cluster.add_spec(power::DeviceSpec::xeon_haswell()), {}}});
 
   rtrm::Job j;
   j.id = 1;
@@ -138,11 +136,9 @@ TEST(ClusterInvariants, EnergyMonotoneAndFacilityAboveIt) {
 }
 
 TEST(ClusterInvariants, JobAccountingBalances) {
-  rtrm::ClusterConfig cfg;
-  rtrm::Cluster cluster(cfg);
-  rtrm::Node n("n0");
-  n.add_device(rtrm::Device("c0", power::DeviceSpec::xeon_haswell()));
-  cluster.add_node(std::move(n));
+  rtrm::ShardedCluster cluster;
+  cluster.add_node(
+      60.0, {{cluster.add_spec(power::DeviceSpec::xeon_haswell()), {}}});
   for (u64 id = 1; id <= 5; ++id) {
     rtrm::Job j;
     j.id = id;

@@ -1,12 +1,13 @@
-// Tests for the runtime resource & power manager: device execution, node
-// aggregation, governors, the hierarchical power controllers, the thermal
-// guard, job dispatch policies, and whole-cluster simulation invariants.
+// Tests for the runtime resource & power manager on rtrm::ShardedCluster:
+// device execution, node aggregation, governors, the hierarchical power
+// controllers, the thermal guard, job dispatch policies, and whole-cluster
+// simulation invariants.
 #include <gtest/gtest.h>
 
-#include "rtrm/cluster.hpp"
-#include "rtrm/controllers.hpp"
-#include "rtrm/dispatcher.hpp"
-#include "rtrm/governor.hpp"
+#include <initializer_list>
+
+#include "rtrm/sharded_cluster.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace antarex::rtrm {
 namespace {
@@ -15,8 +16,20 @@ using power::DeviceSpec;
 using power::DeviceType;
 using power::WorkloadModel;
 
-Device make_cpu(const std::string& name = "cpu0") {
-  return Device(name, DeviceSpec::xeon_haswell());
+ShardedClusterConfig single_shard(ClusterConfig cfg = {}) {
+  ShardedClusterConfig s;
+  s.base = cfg;
+  s.shards = 1;
+  return s;
+}
+
+/// Appends a node of the given devices (default variability).
+void add_node(ShardedCluster& c, std::initializer_list<DeviceSpec> devices,
+              double base_w = 60.0) {
+  std::vector<std::pair<u32, power::Variability>> devs;
+  for (const DeviceSpec& spec : devices)
+    devs.emplace_back(c.add_spec(spec), power::Variability{});
+  c.add_node(base_w, devs);
 }
 
 WorkloadModel simple_work(double gcycles = 10.0, double mem_s = 0.0) {
@@ -28,81 +41,114 @@ WorkloadModel simple_work(double gcycles = 10.0, double mem_s = 0.0) {
   return w;
 }
 
+Job cpu_job(u64 id, double units, WorkloadModel w = simple_work()) {
+  Job j;
+  j.id = id;
+  j.name = "job" + std::to_string(id);
+  j.units = units;
+  j.profiles[DeviceType::Cpu] = w;
+  return j;
+}
+
+/// Finish time of the last completed job.
+double makespan(const ShardedCluster& c) {
+  double finish = 0.0;
+  for (const Job& j : c.dispatcher().completed_jobs())
+    finish = std::max(finish, j.finish_time_s);
+  return finish;
+}
+
+std::size_t top_op(const ShardedCluster& c) {
+  return c.device_op_count(0, 0) - 1;
+}
+
 // --------------------------------------------------------------------------
-// Device
+// Device execution
 // --------------------------------------------------------------------------
 
 TEST(Device, BootsAtHighestPState) {
-  Device d = make_cpu();
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  EXPECT_EQ(c.device_op_index(0, 0), top_op(c));
 }
 
 TEST(Device, CompletesWorkInPredictedTime) {
-  Device d = make_cpu();
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
   const WorkloadModel w = simple_work();
-  const double unit_time = w.execution_time_s(d.op());
-  d.assign(w, 4.0, 1);
-
-  double elapsed = 0.0;
-  std::optional<u64> done;
-  while (!done) {
-    done = d.step(0.05, 22.0);
-    elapsed += 0.05;
-    ASSERT_LT(elapsed, 100.0);
-  }
-  EXPECT_EQ(*done, 1u);
-  EXPECT_NEAR(elapsed, 4.0 * unit_time, 0.06);
-  EXPECT_FALSE(d.busy());
-  EXPECT_EQ(d.completed_jobs(), 1u);
+  const double unit_time =
+      w.execution_time_s(c.spec(0).dvfs.at(c.device_op_index(0, 0)));
+  c.submit(cpu_job(1, 4.0, w));
+  ASSERT_TRUE(c.run_until_idle(100.0, 0.05));
+  ASSERT_EQ(c.dispatcher().completed(), 1u);
+  EXPECT_NEAR(c.dispatcher().completed_jobs()[0].finish_time_s,
+              4.0 * unit_time, 0.06);
+  EXPECT_FALSE(c.device_busy(0, 0));
+  EXPECT_EQ(c.device_completed_jobs(0, 0), 1u);
 }
 
 TEST(Device, LowerFrequencyRunsLonger) {
-  Device fast = make_cpu("fast");
-  Device slow = make_cpu("slow");
-  slow.set_op_index(0);
-  const WorkloadModel w = simple_work();
-  fast.assign(w, 1.0, 1);
-  slow.assign(w, 1.0, 2);
-  double t_fast = 0.0, t_slow = 0.0;
-  while (!fast.step(0.01, 22.0)) t_fast += 0.01;
-  while (!slow.step(0.01, 22.0)) t_slow += 0.01;
-  EXPECT_GT(t_slow, 2.0 * t_fast);
+  auto run = [](GovernorPolicy g) {
+    ClusterConfig cfg;
+    cfg.governor = g;
+    ShardedCluster c(single_shard(cfg));
+    add_node(c, {DeviceSpec::xeon_haswell()});
+    c.submit(cpu_job(1, 1.0));
+    EXPECT_TRUE(c.run_until_idle(100.0, 0.01));
+    return makespan(c);
+  };
+  EXPECT_GT(run(GovernorPolicy::Powersave),
+            2.0 * run(GovernorPolicy::Performance));
 }
 
 TEST(Device, AccumulatesEnergyAndHeatsUp) {
-  Device d = make_cpu();
-  d.assign(simple_work(200.0), 20.0, 1);  // ~93 s of work at the top P-state
-  const double t0 = d.temperature_c();
-  for (int i = 0; i < 100; ++i) d.step(0.5, 22.0);
-  EXPECT_TRUE(d.busy());  // still crunching after 50 s
-  EXPECT_GT(d.rapl().total_j(), 0.0);
-  EXPECT_GT(d.temperature_c(), t0 + 10.0);
+  ClusterConfig cfg;
+  cfg.ambient_c = 22.0;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  const double t0 = c.device_temperature_c(0, 0);
+  c.submit(cpu_job(1, 20.0, simple_work(200.0)));  // ~93 s at the top P-state
+  c.run_for(50.0, 0.5);
+  EXPECT_TRUE(c.device_busy(0, 0));  // still crunching after 50 s
+  EXPECT_GT(c.device_energy_j(0, 0), 0.0);
+  EXPECT_GT(c.device_temperature_c(0, 0), t0 + 10.0);
 }
 
 TEST(Device, CoolsBackDownWhenIdle) {
-  Device d = make_cpu();
-  d.assign(simple_work(200.0), 1.0, 1);
-  for (int i = 0; i < 40; ++i) d.step(0.5, 22.0);  // finishes in ~4.6 s
-  EXPECT_FALSE(d.busy());
-  const double hot = d.temperature_c();
-  for (int i = 0; i < 200; ++i) d.step(0.5, 22.0);
-  EXPECT_LT(d.temperature_c(), hot);
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(cpu_job(1, 1.0, simple_work(200.0)));
+  c.run_for(20.0, 0.5);  // finishes in ~4.6 s
+  EXPECT_FALSE(c.device_busy(0, 0));
+  const double hot = c.device_temperature_c(0, 0);
+  c.run_for(100.0, 0.5);
+  EXPECT_LT(c.device_temperature_c(0, 0), hot);
 }
 
 TEST(Device, IdleDrawsLittlePower) {
-  Device d = make_cpu();
-  d.step(1.0, 22.0);
-  const double idle_j = d.rapl().total_j();
-  Device busy = make_cpu("busy");
-  busy.assign(simple_work(1000.0), 1.0, 1);
-  busy.step(1.0, 22.0);
-  EXPECT_LT(idle_j, 0.35 * busy.rapl().total_j());
+  // Same P-state (performance governor), one busy and one idle device.
+  ClusterConfig cfg;
+  cfg.governor = GovernorPolicy::Performance;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(cpu_job(1, 1.0, simple_work(1000.0)));
+  c.run_for(1.0, 1.0);
+  ASSERT_TRUE(c.device_busy(0, 0));
+  ASSERT_FALSE(c.device_busy(1, 0));
+  EXPECT_LT(c.device_energy_j(1, 0), 0.35 * c.device_energy_j(0, 0));
 }
 
-TEST(Device, RejectsDoubleAssign) {
-  Device d = make_cpu();
-  d.assign(simple_work(1000.0), 1.0, 1);
-  EXPECT_THROW(d.assign(simple_work(), 1.0, 2), Error);
+TEST(Device, NeverTakesASecondJob) {
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(cpu_job(1, 1.0, simple_work(1000.0)));
+  c.submit(cpu_job(2, 1.0));
+  c.run_for(1.0);
+  EXPECT_EQ(c.dispatcher().running(), 1u);
+  EXPECT_EQ(c.dispatcher().queued(), 1u);
+  EXPECT_EQ(c.dispatcher().device_of(1), 0u);
+  EXPECT_EQ(c.dispatcher().device_of(2), ShardedDispatcher::kInvalidDevice);
 }
 
 // --------------------------------------------------------------------------
@@ -110,60 +156,70 @@ TEST(Device, RejectsDoubleAssign) {
 // --------------------------------------------------------------------------
 
 TEST(Governor, PerformanceAndPowersave) {
-  Device d = make_cpu();
-  apply_governor(d, GovernorPolicy::Powersave);
-  EXPECT_EQ(d.op_index(), 0u);
-  apply_governor(d, GovernorPolicy::Performance);
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);
+  ClusterConfig cfg;
+  cfg.governor = GovernorPolicy::Powersave;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.run_for(1.0);
+  EXPECT_EQ(c.device_op_index(0, 0), 0u);
+  c.set_governor(GovernorPolicy::Performance);
+  c.run_for(1.0);
+  EXPECT_EQ(c.device_op_index(0, 0), top_op(c));
 }
 
 TEST(Governor, OndemandTracksLoad) {
-  Device d = make_cpu();
-  apply_governor(d, GovernorPolicy::Ondemand);
-  EXPECT_EQ(d.op_index(), 0u);  // idle -> min
-  d.assign(simple_work(1000.0), 1.0, 1);
-  apply_governor(d, GovernorPolicy::Ondemand);
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);  // busy -> max
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.run_for(1.0);
+  EXPECT_EQ(c.device_op_index(0, 0), 0u);  // idle -> min
+  c.submit(cpu_job(1, 1.0, simple_work(1000.0)));
+  c.run_for(1.0);
+  EXPECT_EQ(c.device_op_index(0, 0), top_op(c));  // busy -> max
+}
+
+/// The energy-aware governor's P-state for one job on a one-device node with
+/// `base_w` of always-on power (the node base power is the governor's
+/// base-power share).
+std::size_t energy_aware_op(WorkloadModel w, double base_w) {
+  ClusterConfig cfg;
+  cfg.governor = GovernorPolicy::EnergyAware;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell()}, base_w);
+  c.submit(cpu_job(1, 1.0, w));
+  c.run_for(0.25);
+  EXPECT_TRUE(c.device_busy(0, 0));
+  return c.device_op_index(0, 0);
 }
 
 TEST(Governor, EnergyAwarePicksInteriorPointForComputeBound) {
-  Device d = make_cpu();
-  d.assign(simple_work(1000.0, 0.0), 1.0, 1);
-  apply_governor(d, GovernorPolicy::EnergyAware);
   // The device-level optimum lies strictly below the top P-state (leakage-
   // time tradeoff) — and for memory-bound work it is lower still.
-  const std::size_t compute_idx = d.op_index();
-  EXPECT_LT(compute_idx, d.num_ops() - 1);
-
-  Device m = make_cpu("mem");
-  m.assign(simple_work(10.0, 5.0), 1.0, 2);
-  apply_governor(m, GovernorPolicy::EnergyAware);
-  EXPECT_LE(m.op_index(), compute_idx);
+  const std::size_t compute_idx = energy_aware_op(simple_work(1000.0), 0.0);
+  ShardedCluster probe(single_shard());
+  add_node(probe, {DeviceSpec::xeon_haswell()});
+  EXPECT_LT(compute_idx, top_op(probe));
+  EXPECT_LE(energy_aware_op(simple_work(10.0, 5.0), 0.0), compute_idx);
 }
 
 TEST(Governor, EnergyAwareBasePowerShareRaisesTheOptimum) {
   // Without a base-power share, device-only energy favours very low
   // frequencies (powersave-like). Charging the node's always-on power to the
   // job makes finishing sooner worthwhile: the chosen P-state must rise.
-  Device a = make_cpu("a");
-  a.assign(simple_work(1000.0, 0.0), 1.0, 1);
-  apply_governor(a, GovernorPolicy::EnergyAware, 0.0);
-  const std::size_t without_share = a.op_index();
-
-  Device b = make_cpu("b");
-  b.assign(simple_work(1000.0, 0.0), 1.0, 1);
-  apply_governor(b, GovernorPolicy::EnergyAware, 60.0);
-  EXPECT_GT(b.op_index(), without_share);
+  EXPECT_GT(energy_aware_op(simple_work(1000.0), 60.0),
+            energy_aware_op(simple_work(1000.0), 0.0));
 }
 
 TEST(Governor, EnergyAwareBeatsOndemandOnEnergyToSolution) {
   // Same job, same device; ondemand runs at max, energy-aware at optimum.
+  // Device energy up to the job's completion.
   auto run = [](GovernorPolicy g) {
-    Device d = make_cpu();
-    d.assign(simple_work(50.0, 0.4), 1.0, 1);
-    apply_governor(d, g);
-    while (d.busy()) d.step(0.05, 22.0);
-    return d.rapl().total_j();
+    ClusterConfig cfg;
+    cfg.governor = g;
+    ShardedCluster c(single_shard(cfg));
+    add_node(c, {DeviceSpec::xeon_haswell()}, 0.0);
+    c.submit(cpu_job(1, 1.0, simple_work(50.0, 0.4)));
+    while (c.dispatcher().completed() == 0) c.run_for(0.05, 0.05);
+    return c.device_energy_j(0, 0);
   };
   EXPECT_LT(run(GovernorPolicy::EnergyAware), run(GovernorPolicy::Ondemand));
 }
@@ -173,112 +229,130 @@ TEST(Governor, EnergyAwareBeatsOndemandOnEnergyToSolution) {
 // --------------------------------------------------------------------------
 
 TEST(Node, AggregatesPowerAndEnergy) {
-  Node n("n0", 50.0);
-  n.add_device(make_cpu("c0"));
-  n.add_device(make_cpu("c1"));
-  const double p = n.power_w();
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell(), DeviceSpec::xeon_haswell()}, 50.0);
+  c.run_for(2.0, 2.0);
+  const double p = c.node_power_w(0);
   EXPECT_GT(p, 50.0);  // base + idle devices
-  n.step(2.0, 22.0);
-  EXPECT_NEAR(n.rapl().total_j(), p * 2.0, p * 0.2);  // temps drift slightly
+  EXPECT_DOUBLE_EQ(p, 50.0 + c.device_power_w(0) + c.device_power_w(1));
+  EXPECT_NEAR(c.node_energy_j(0), p * 2.0, p * 0.2);  // temps drift slightly
 }
 
 TEST(Node, ReportsCompletions) {
-  Node n("n0");
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1.0), 1.0, 42);
-  std::vector<u64> done;
-  for (int i = 0; i < 200 && done.empty(); ++i) done = n.step(0.05, 22.0);
-  ASSERT_EQ(done.size(), 1u);
-  EXPECT_EQ(done[0], 42u);
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(cpu_job(42, 1.0, simple_work(1.0)));
+  ASSERT_TRUE(c.run_until_idle(10.0, 0.05));
+  ASSERT_EQ(c.dispatcher().completed(), 1u);
+  EXPECT_EQ(c.dispatcher().completed_jobs()[0].id, 42u);
+  EXPECT_EQ(c.device_completed_jobs(0, 0), 1u);
 }
 
 // --------------------------------------------------------------------------
-// Power controllers
+// Power controllers. Authority model: governors *propose* a P-state per
+// device each control period; the node controller owns persistent
+// per-device ceilings and clamps the proposal, so a budget violation lowers
+// a ceiling that stays down until headroom returns.
 // --------------------------------------------------------------------------
 
-TEST(NodePowerController, ThrottlesUntilUnderBudget) {
-  Node n("n0", 30.0);
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1e6), 1.0, 1);
-  const double unconstrained = n.power_w();
-  NodePowerController ctl(0.6 * unconstrained);
-  for (int i = 0; i < 32; ++i) ctl.step(n);
-  EXPECT_LE(n.power_w(), 0.6 * unconstrained + 1.0);
-  EXPECT_LT(d.op_index(), d.num_ops() - 1);
+/// Node power of one busy device at the top P-state (30 W base).
+double unconstrained_node_power() {
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()}, 30.0);
+  c.submit(cpu_job(1, 1e6));
+  c.run_for(0.25);
+  return c.node_power_w(0);
 }
 
-TEST(NodePowerController, RaisesCeilingWhenHeadroomReturns) {
-  // Authority model: the controller owns ceilings, the governor proposes.
+/// A one-device node (30 W base) running a long job, with the node
+/// controller applying `*budget_w` at the end of every control period.
+struct BudgetedNode {
+  explicit BudgetedNode(GovernorPolicy g, const double* budget_w)
+      : cluster(single_shard([g] {
+          ClusterConfig cfg;
+          cfg.governor = g;
+          cfg.control_period_s = 0.25;
+          return cfg;
+        }())) {
+    add_node(cluster, {DeviceSpec::xeon_haswell()}, 30.0);
+    cluster.submit(cpu_job(1, 1e6));
+    cluster.set_control_hook([budget_w](ShardedCluster& c, double) {
+      c.apply_node_budget(0, *budget_w);
+    });
+  }
+  ShardedCluster cluster;
+};
+
+TEST(NodePowerControl, ThrottlesUntilUnderBudget) {
+  const double budget = 0.6 * unconstrained_node_power();
+  BudgetedNode n(GovernorPolicy::Performance, &budget);
+  n.cluster.run_for(8.0, 0.25);
+  EXPECT_LE(n.cluster.node_power_w(0), budget + 1.0);
+  EXPECT_LT(n.cluster.device_op_index(0, 0), top_op(n.cluster));
+  EXPECT_EQ(n.cluster.node_budget_w(0), budget);
+}
+
+TEST(NodePowerControl, RaisesCeilingWhenHeadroomReturns) {
   // Start throttled; with an unlimited budget the ceiling must recover all
-  // the way up so a performance-governor proposal survives the clamp.
-  Node n("n0", 30.0);
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1e6), 1.0, 1);
-  NodePowerController ctl(40.0);  // tiny: forces ceilings to the floor
-  for (int i = 0; i < 32; ++i) ctl.step(n);
-  EXPECT_EQ(ctl.ceiling(0), 0u);
-  EXPECT_EQ(d.op_index(), 0u);
+  // the way up, so the performance governor's top proposal survives.
+  double budget = 40.0;  // tiny: forces ceilings to the floor
+  BudgetedNode n(GovernorPolicy::Performance, &budget);
+  n.cluster.run_for(8.0, 0.25);
+  EXPECT_EQ(n.cluster.device_op_index(0, 0), 0u);
 
-  ctl.set_budget_w(1e5);  // headroom returns
-  for (int i = 0; i < 32; ++i) {
-    apply_governor(d, GovernorPolicy::Performance);  // proposes the top
-    ctl.step(n);
-  }
-  EXPECT_EQ(ctl.ceiling(0), d.num_ops() - 1);
-  apply_governor(d, GovernorPolicy::Performance);
-  ctl.clamp(n);
-  EXPECT_EQ(d.op_index(), d.num_ops() - 1);
+  budget = 1e5;  // headroom returns
+  n.cluster.run_for(8.0, 0.25);
+  EXPECT_EQ(n.cluster.device_op_index(0, 0), top_op(n.cluster));
 }
 
-TEST(NodePowerController, CeilingOverridesGovernorEveryPeriod) {
-  // The loop the old design got wrong: ondemand re-proposes the top P-state
-  // every period; the persistent ceiling must keep power bounded anyway.
-  Node n("n0", 30.0);
-  Device& d = n.add_device(make_cpu());
-  d.assign(simple_work(1e6), 1.0, 1);
-  const double unconstrained = n.power_w();
-  NodePowerController ctl(0.6 * unconstrained);
-  for (int i = 0; i < 64; ++i) {
-    apply_governor(d, GovernorPolicy::Ondemand);  // fights the cap
-    ctl.step(n);
-  }
-  EXPECT_LE(n.power_w(), 0.6 * unconstrained + 1.0);
+TEST(NodePowerControl, CeilingOverridesGovernorEveryPeriod) {
+  // Ondemand re-proposes the top P-state every period; the persistent
+  // ceiling must keep power bounded anyway.
+  const double budget = 0.6 * unconstrained_node_power();
+  BudgetedNode n(GovernorPolicy::Ondemand, &budget);
+  n.cluster.run_for(16.0, 0.25);
+  EXPECT_LE(n.cluster.node_power_w(0), budget + 1.0);
 }
 
-TEST(ClusterPowerManager, RespectsFacilityBudget) {
-  std::vector<Node> nodes;
-  for (int i = 0; i < 4; ++i) {
-    Node n("n" + std::to_string(i), 30.0);
-    Device& d = n.add_device(make_cpu());
-    d.assign(simple_work(1e6), 1.0, static_cast<u64>(i + 1));
-    nodes.push_back(std::move(n));
-  }
-  double unconstrained = 0.0;
-  for (auto& n : nodes) unconstrained += n.power_w();
+TEST(FacilityPowerManager, RespectsFacilityBudget) {
+  auto build = [](ShardedCluster& c) {
+    for (int i = 0; i < 4; ++i) add_node(c, {DeviceSpec::xeon_haswell()}, 30.0);
+    for (u64 id = 1; id <= 4; ++id) c.submit(cpu_job(id, 1e6));
+  };
+  ShardedCluster free(single_shard());
+  build(free);
+  free.run_for(0.25);
+  const double unconstrained = free.it_power_w();
 
-  ClusterPowerManager mgr(0.7 * unconstrained);
-  for (int i = 0; i < 64; ++i) mgr.step(nodes);
-
-  double constrained = 0.0;
-  for (auto& n : nodes) constrained += n.power_w();
-  EXPECT_LE(constrained, 0.7 * unconstrained + 5.0);
-  // Allocation sums to about the budget.
+  ClusterConfig cfg;
+  cfg.facility_cap_w = 0.7 * unconstrained;
+  cfg.control_period_s = 0.25;
+  ShardedCluster capped(single_shard(cfg));
+  build(capped);
+  capped.run_for(16.0, 0.25);
+  EXPECT_LE(capped.it_power_w(), 0.7 * unconstrained + 5.0);
+  // The per-node allocations sum to about the budget.
   double alloc = 0.0;
-  for (double a : mgr.allocations_w()) alloc += a;
+  for (std::size_t i = 0; i < 4; ++i) alloc += capped.node_budget_w(i);
   EXPECT_NEAR(alloc, 0.7 * unconstrained, 1.0);
 }
 
 TEST(ThermalGuard, ThrottlesHotDevice) {
-  Device d = make_cpu();
-  d.assign(simple_work(1e6), 1.0, 1);
-  ThermalGuard guard(60.0, 5.0);  // artificially low limit
-  // Heat up at full tilt.
-  for (int i = 0; i < 400; ++i) {
-    d.step(0.5, 35.0);
-    guard.step(d);
-  }
-  EXPECT_GT(guard.throttle_events(), 0u);
-  EXPECT_LT(d.temperature_c(), 60.0 + 8.0);  // held near the limit
+  telemetry::ScopedEnable telemetry_on;
+  telemetry::Registry::global().reset();
+  ClusterConfig cfg;
+  cfg.governor = GovernorPolicy::Performance;
+  cfg.t_crit_c = 60.0;  // artificially low limit
+  cfg.ambient_c = 35.0;
+  cfg.control_period_s = 0.5;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(cpu_job(1, 1e6));
+  c.run_for(200.0, 0.5);  // heat up at full tilt
+  EXPECT_GT(
+      telemetry::Registry::global().counter("rtrm.thermal_throttles").value(),
+      0u);
+  EXPECT_LT(c.device_temperature_c(0, 0), 60.0 + 8.0);  // held near the limit
 }
 
 // --------------------------------------------------------------------------
@@ -286,150 +360,103 @@ TEST(ThermalGuard, ThrottlesHotDevice) {
 // --------------------------------------------------------------------------
 
 Job make_job(u64 id, double units = 1.0) {
-  Job j;
-  j.id = id;
-  j.name = "job" + std::to_string(id);
-  j.units = units;
-  WorkloadModel cpu = simple_work(5.0);
-  j.profiles[DeviceType::Cpu] = cpu;
+  Job j = cpu_job(id, units, simple_work(5.0));
   WorkloadModel gpu = simple_work(5.0);
   gpu.cores_used = 2496;  // much faster on the accelerator
   j.profiles[DeviceType::Gpu] = gpu;
   return j;
 }
 
-TEST(Dispatcher, PlacesFcfsOnFreeDevices) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  n.add_device(make_cpu("c1"));
-  nodes.push_back(std::move(n));
+Job only_on(DeviceType type, Job j) {
+  for (auto it = j.profiles.begin(); it != j.profiles.end();)
+    it = it->first == type ? std::next(it) : j.profiles.erase(it);
+  return j;
+}
 
-  Dispatcher disp(PlacementPolicy::FirstFit);
-  disp.submit(make_job(1));
-  disp.submit(make_job(2));
-  disp.submit(make_job(3));
-  disp.place(nodes, 0.0);
-  EXPECT_EQ(disp.running(), 2u);
-  EXPECT_EQ(disp.queued(), 1u);
+TEST(Dispatcher, PlacesFcfsOnFreeDevices) {
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell(), DeviceSpec::xeon_haswell()});
+  for (u64 id = 1; id <= 3; ++id) c.submit(make_job(id, 1e4));
+  c.run_for(0.25);
+  EXPECT_EQ(c.dispatcher().running(), 2u);
+  EXPECT_EQ(c.dispatcher().queued(), 1u);
 }
 
 TEST(Dispatcher, FastestFirstPrefersAccelerator) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  n.add_device(Device("g0", DeviceSpec::gpgpu()));
-  nodes.push_back(std::move(n));
-
-  Dispatcher disp(PlacementPolicy::FastestFirst);
-  disp.submit(make_job(1));
-  disp.place(nodes, 0.0);
-  ASSERT_EQ(disp.running(), 1u);
-  EXPECT_TRUE(nodes[0].device(1).busy());
-  EXPECT_FALSE(nodes[0].device(0).busy());
+  ClusterConfig cfg;
+  cfg.placement = PlacementPolicy::FastestFirst;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell(), DeviceSpec::gpgpu()});
+  c.submit(make_job(1, 1e4));
+  c.run_for(0.25);
+  ASSERT_EQ(c.dispatcher().running(), 1u);
+  EXPECT_TRUE(c.device_busy(0, 1));
+  EXPECT_FALSE(c.device_busy(0, 0));
 }
 
 TEST(Dispatcher, RespectsDeviceCompatibility) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(Device("m0", DeviceSpec::xeon_phi()));
-  nodes.push_back(std::move(n));
-
-  Dispatcher disp;
-  disp.submit(make_job(1));  // job runs on Cpu/Gpu only
-  disp.place(nodes, 0.0);
-  EXPECT_EQ(disp.running(), 0u);
-  EXPECT_EQ(disp.queued(), 1u);
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_phi()});
+  c.submit(make_job(1));  // job runs on Cpu/Gpu only
+  c.run_for(0.25);
+  EXPECT_EQ(c.dispatcher().running(), 0u);
+  EXPECT_EQ(c.dispatcher().queued(), 1u);
 }
 
 TEST(Dispatcher, BackfillLetsCompatibleJobsJumpTheQueue) {
-  // Head needs a GPU (busy); CPU-only jobs behind it must backfill onto the
-  // free CPU instead of waiting (EASY: they cannot delay the head, which is
-  // reserved on the GPU).
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  n.add_device(Device("g0", DeviceSpec::gpgpu()));
-  nodes.push_back(std::move(n));
-
-  // Occupy the GPU.
-  {
-    Job warm = make_job(100);
-    warm.profiles.erase(DeviceType::Cpu);
-    Dispatcher seed(PlacementPolicy::FirstFit);
-    // Assign directly to the GPU to set up the scenario.
-    nodes[0].device(1).assign(warm.profile(DeviceType::Gpu), 5.0, 100);
-  }
-
-  auto gpu_only_job = [](u64 id) {
-    Job j = make_job(id);
-    j.profiles.erase(DeviceType::Cpu);
-    return j;
+  // Head needs the GPU (busy); a CPU-only job behind it must backfill onto
+  // the free CPU instead of waiting (EASY: it cannot delay the head, which
+  // is reserved on the GPU).
+  auto run = [](bool backfill) {
+    ClusterConfig cfg;
+    cfg.backfill = backfill;
+    auto c = std::make_unique<ShardedCluster>(single_shard(cfg));
+    add_node(*c, {DeviceSpec::xeon_haswell(), DeviceSpec::gpgpu()});
+    c->submit(only_on(DeviceType::Gpu, make_job(100, 1e6)));  // occupies GPU
+    c->run_for(0.25);
+    c->submit(only_on(DeviceType::Gpu, make_job(1)));
+    c->submit(only_on(DeviceType::Cpu, make_job(2)));
+    c->run_for(0.25);
+    return c;
   };
-  auto cpu_only_job = [](u64 id) {
-    Job j = make_job(id);
-    j.profiles.erase(DeviceType::Gpu);
-    return j;
-  };
-
   // FCFS: everything waits behind the GPU head.
-  Dispatcher fcfs(PlacementPolicy::FirstFit, false);
-  fcfs.submit(gpu_only_job(1));
-  fcfs.submit(cpu_only_job(2));
-  fcfs.place(nodes, 0.0);
-  EXPECT_EQ(fcfs.running(), 0u);
-  EXPECT_EQ(fcfs.queued(), 2u);
+  const auto fcfs = run(false);
+  EXPECT_EQ(fcfs->dispatcher().running(), 1u);
+  EXPECT_EQ(fcfs->dispatcher().queued(), 2u);
 
   // Backfill: the CPU job runs now.
-  Dispatcher easy(PlacementPolicy::FirstFit, true);
-  easy.submit(gpu_only_job(3));
-  easy.submit(cpu_only_job(4));
-  easy.place(nodes, 0.0);
-  EXPECT_EQ(easy.running(), 1u);
-  EXPECT_EQ(easy.queued(), 1u);
-  EXPECT_EQ(easy.backfilled_jobs(), 1u);
-  EXPECT_TRUE(nodes[0].device(0).busy());
+  const auto easy = run(true);
+  EXPECT_EQ(easy->dispatcher().running(), 2u);
+  EXPECT_EQ(easy->dispatcher().queued(), 1u);
+  EXPECT_EQ(easy->dispatcher().backfilled_jobs(), 1u);
+  EXPECT_TRUE(easy->device_busy(0, 0));
 }
 
 TEST(Dispatcher, BackfillPreservesHeadPriority) {
   // When the head CAN start, backfill must not reorder anything.
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu("c0"));
-  nodes.push_back(std::move(n));
-  Dispatcher easy(PlacementPolicy::FirstFit, true);
-  Job a = make_job(1);
-  a.profiles.erase(DeviceType::Gpu);
-  Job b = make_job(2);
-  b.profiles.erase(DeviceType::Gpu);
-  easy.submit(std::move(a));
-  easy.submit(std::move(b));
-  easy.place(nodes, 0.0);
-  ASSERT_EQ(easy.running(), 1u);
-  EXPECT_EQ(easy.backfilled_jobs(), 0u);
-  EXPECT_EQ(nodes[0].device(0).running_job(), std::optional<u64>(1));
+  ClusterConfig cfg;
+  cfg.backfill = true;
+  ShardedCluster c(single_shard(cfg));
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(cpu_job(1, 1e4));
+  c.submit(cpu_job(2, 1e4));
+  c.run_for(0.25);
+  ASSERT_EQ(c.dispatcher().running(), 1u);
+  EXPECT_EQ(c.dispatcher().backfilled_jobs(), 0u);
+  EXPECT_EQ(c.dispatcher().device_of(1), 0u);
 }
 
 TEST(Dispatcher, BackfillOnClusterImprovesThroughput) {
   auto run = [](bool backfill) {
     ClusterConfig cfg;
     cfg.backfill = backfill;
-    Cluster cluster(cfg);
-    Node n("n0");
-    n.add_device(make_cpu("c0"));
-    n.add_device(Device("g0", DeviceSpec::gpgpu()));
-    cluster.add_node(std::move(n));
+    ShardedCluster cluster(single_shard(cfg));
+    add_node(cluster, {DeviceSpec::xeon_haswell(), DeviceSpec::gpgpu()});
     // Long GPU job, then another GPU job (blocks), then CPU jobs.
-    for (u64 id = 1; id <= 2; ++id) {
-      Job j = make_job(id, 8.0);
-      j.profiles.erase(DeviceType::Cpu);
-      cluster.submit(std::move(j));
-    }
-    for (u64 id = 3; id <= 5; ++id) {
-      Job j = make_job(id, 1.0);
-      j.profiles.erase(DeviceType::Gpu);
-      cluster.submit(std::move(j));
-    }
+    for (u64 id = 1; id <= 2; ++id)
+      cluster.submit(only_on(DeviceType::Gpu, make_job(id, 8.0)));
+    for (u64 id = 3; id <= 5; ++id)
+      cluster.submit(only_on(DeviceType::Cpu, make_job(id, 1.0)));
     EXPECT_TRUE(cluster.run_until_idle(50000.0, 0.25));
     double cpu_jobs_done = 0.0;
     for (const Job& j : cluster.dispatcher().completed_jobs())
@@ -440,18 +467,17 @@ TEST(Dispatcher, BackfillOnClusterImprovesThroughput) {
 }
 
 TEST(Dispatcher, CompletionMovesJobToDone) {
-  std::vector<Node> nodes;
-  Node n("n0");
-  n.add_device(make_cpu());
-  nodes.push_back(std::move(n));
-  Dispatcher disp;
-  disp.submit(make_job(7));
-  disp.place(nodes, 0.0);
-  disp.on_finished(7, 3.5);
-  EXPECT_EQ(disp.completed(), 1u);
-  EXPECT_EQ(disp.completed_jobs()[0].state, JobState::Done);
-  EXPECT_DOUBLE_EQ(disp.completed_jobs()[0].finish_time_s, 3.5);
-  EXPECT_THROW(disp.on_finished(7, 4.0), Error);
+  ShardedCluster c(single_shard());
+  add_node(c, {DeviceSpec::xeon_haswell()});
+  c.submit(make_job(7));
+  ASSERT_TRUE(c.run_until_idle(100.0, 0.25));
+  ASSERT_EQ(c.dispatcher().completed(), 1u);
+  const Job& done = c.dispatcher().completed_jobs()[0];
+  EXPECT_EQ(done.state, JobState::Done);
+  EXPECT_DOUBLE_EQ(done.units_done, done.units);
+  EXPECT_GT(done.finish_time_s, done.start_time_s);
+  EXPECT_EQ(c.dispatcher().running(), 0u);
+  EXPECT_EQ(c.dispatcher().device_of(7), ShardedDispatcher::kInvalidDevice);
 }
 
 // --------------------------------------------------------------------------
@@ -459,12 +485,8 @@ TEST(Dispatcher, CompletionMovesJobToDone) {
 // --------------------------------------------------------------------------
 
 TEST(Cluster, RunsJobsToCompletion) {
-  ClusterConfig cfg;
-  cfg.governor = GovernorPolicy::Ondemand;
-  Cluster cluster(cfg);
-  Node n("n0");
-  n.add_device(make_cpu());
-  cluster.add_node(std::move(n));
+  ShardedCluster cluster(single_shard());
+  add_node(cluster, {DeviceSpec::xeon_haswell()});
   for (u64 i = 1; i <= 3; ++i) cluster.submit(make_job(i, 0.5));
 
   ASSERT_TRUE(cluster.run_until_idle(500.0));
@@ -478,53 +500,33 @@ TEST(Cluster, EnergyAwareGovernorSavesEnergyOnSameJobs) {
   auto run = [](GovernorPolicy g) {
     ClusterConfig cfg;
     cfg.governor = g;
-    Cluster cluster(cfg);
-    Node n("n0");
-    n.add_device(make_cpu());
-    cluster.add_node(std::move(n));
-    Job j = make_job(1, 4.0);
+    ShardedCluster cluster(single_shard(cfg));
+    add_node(cluster, {DeviceSpec::xeon_haswell()});
+    Job j = only_on(DeviceType::Cpu, make_job(1, 4.0));
     j.profiles[DeviceType::Cpu].mem_seconds = 0.3;  // partly memory-bound
-    j.profiles.erase(DeviceType::Gpu);
     cluster.submit(std::move(j));
     EXPECT_TRUE(cluster.run_until_idle(4000.0));
     return cluster.telemetry().it_energy_j;
   };
-  const double ondemand = run(GovernorPolicy::Ondemand);
-  const double energy_aware = run(GovernorPolicy::EnergyAware);
-  EXPECT_LT(energy_aware, ondemand);
+  EXPECT_LT(run(GovernorPolicy::EnergyAware), run(GovernorPolicy::Ondemand));
 }
 
 TEST(Cluster, FacilityCapHoldsPeakPower) {
+  auto build = [](ShardedCluster& c) {
+    add_node(c, {DeviceSpec::xeon_haswell(), DeviceSpec::xeon_haswell()});
+    for (u64 i = 1; i <= 2; ++i)
+      c.submit(only_on(DeviceType::Cpu, make_job(i, 50.0)));
+  };
   ClusterConfig cfg;
   cfg.governor = GovernorPolicy::Performance;
-  Cluster uncapped(cfg);
-  {
-    Node n("n0");
-    n.add_device(make_cpu("c0"));
-    n.add_device(make_cpu("c1"));
-    uncapped.add_node(std::move(n));
-  }
-  for (u64 i = 1; i <= 2; ++i) {
-    Job j = make_job(i, 50.0);
-    j.profiles.erase(DeviceType::Gpu);
-    uncapped.submit(std::move(j));
-  }
+  ShardedCluster uncapped(single_shard(cfg));
+  build(uncapped);
   uncapped.run_for(30.0);
   const double peak_uncapped = uncapped.telemetry().peak_it_power_w;
 
   cfg.facility_cap_w = 0.7 * peak_uncapped;
-  Cluster capped(cfg);
-  {
-    Node n("n0");
-    n.add_device(make_cpu("c0"));
-    n.add_device(make_cpu("c1"));
-    capped.add_node(std::move(n));
-  }
-  for (u64 i = 1; i <= 2; ++i) {
-    Job j = make_job(i, 50.0);
-    j.profiles.erase(DeviceType::Gpu);
-    capped.submit(std::move(j));
-  }
+  ShardedCluster capped(single_shard(cfg));
+  build(capped);
   capped.run_for(60.0);
   // Transients are allowed (one control period); the bulk must respect it.
   EXPECT_LT(capped.telemetry().peak_it_power_w, peak_uncapped);
@@ -535,13 +537,9 @@ TEST(Cluster, SummerAmbientWorsensFacilityEnergy) {
   auto run = [](double ambient) {
     ClusterConfig cfg;
     cfg.ambient_c = ambient;
-    Cluster cluster(cfg);
-    Node n("n0");
-    n.add_device(make_cpu());
-    cluster.add_node(std::move(n));
-    Job j = make_job(1, 5.0);
-    j.profiles.erase(DeviceType::Gpu);
-    cluster.submit(std::move(j));
+    ShardedCluster cluster(single_shard(cfg));
+    add_node(cluster, {DeviceSpec::xeon_haswell()});
+    cluster.submit(only_on(DeviceType::Cpu, make_job(1, 5.0)));
     EXPECT_TRUE(cluster.run_until_idle(4000.0));
     return cluster.telemetry();
   };
@@ -557,13 +555,9 @@ TEST(Cluster, ThermalGuardKeepsDevicesUnderCritical) {
   cfg.governor = GovernorPolicy::Performance;
   cfg.t_crit_c = 70.0;
   cfg.ambient_c = 35.0;
-  Cluster cluster(cfg);
-  Node n("n0");
-  n.add_device(make_cpu());
-  cluster.add_node(std::move(n));
-  Job j = make_job(1, 100.0);
-  j.profiles.erase(DeviceType::Gpu);
-  cluster.submit(std::move(j));
+  ShardedCluster cluster(single_shard(cfg));
+  add_node(cluster, {DeviceSpec::xeon_haswell()});
+  cluster.submit(only_on(DeviceType::Cpu, make_job(1, 100.0)));
   cluster.run_for(300.0);
   EXPECT_LT(cluster.telemetry().max_temperature_c, 70.0 + 10.0);
 }

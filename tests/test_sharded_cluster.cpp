@@ -1,13 +1,15 @@
-// Differential shard-equivalence suite: the SoA ShardedCluster must be an
-// exact drop-in for the legacy rtrm::Cluster stepper. Every test runs the
-// same seeded scenario through both engines and asserts the canonical state
-// trace (tests/sharded_common.hpp) — every per-node and per-device
-// observable at full %.17g precision — is byte-identical, across 1/4/16
-// shards and 1/2/8 exec workers, with and without injected crash/repair
-// schedules. Golden fixtures generated from the *legacy* stepper pin the
-// sharded path to it across refactors, mirroring fault_replay_*.
+// Plant oracle suite: the SoA ShardedCluster must reproduce, byte for byte,
+// the oracle traces recorded from the original per-object stepper
+// (tests/golden/plant_oracle_*.txt and sharded_replay_*.txt). Each trace is
+// the canonical state trace (tests/sharded_common.hpp) — every per-node and
+// per-device observable at full %.17g precision — plus the fault/dispatcher
+// log, and must come out identical across 1/4/16 shards and 1/2/8 exec
+// workers, with and without injected crash/repair schedules.
+//
+// The cut-down legacy rtrm::Cluster, which bench_monitor still measures,
+// is held to the oracles it can still run (ondemand governor, first-fit
+// placement): see the LegacyPlant tests at the end.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <optional>
@@ -34,7 +36,7 @@ struct Scenario {
   GovernorPolicy governor = GovernorPolicy::Ondemand;
   PlacementPolicy placement = PlacementPolicy::FirstFit;
   bool backfill = false;
-  std::optional<double> facility_cap_w;
+  std::optional<double> facility_cap_w = std::nullopt;
   bool faults = false;
   std::size_t op_step_down = 0;
 };
@@ -48,24 +50,21 @@ ClusterConfig base_config(const Scenario& sc) {
   return cfg;
 }
 
-std::string legacy_run(u64 seed, const Scenario& sc,
-                       std::vector<std::string>* fault_log = nullptr) {
-  Cluster cluster(base_config(sc));
-  ClusterBlueprint::exascale(seed, kNodes).build(cluster);
-  if (sc.op_step_down > 0) cluster.set_op_step_down(sc.op_step_down);
-  submit_job_mix(cluster, seed, kJobs);
-  std::optional<fault::FaultInjector<Cluster>> injector;
-  if (sc.faults)
-    injector.emplace(cluster, make_fault_schedule(kNodes, kHorizon, seed));
-  cluster.run_for(kHorizon, kDt);
-  cluster.run_until_idle(kIdleLimit, kDt);
-  if (injector && fault_log) *fault_log = injector->log();
-  return state_trace(cluster);
+/// Trace + fault log: the document every oracle file holds.
+template <typename Plant>
+std::string document(Plant& cluster, const fault::FaultInjector<Plant>* inj) {
+  std::string doc = state_trace(cluster);
+  doc += "--- fault log ---\n";
+  if (inj)
+    for (const std::string& line : inj->log()) {
+      doc += line;
+      doc += '\n';
+    }
+  return doc;
 }
 
 std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
-                        int threads,
-                        std::vector<std::string>* fault_log = nullptr) {
+                        int threads) {
   ShardedClusterConfig cfg;
   cfg.base = base_config(sc);
   cfg.shards = shards;
@@ -80,156 +79,7 @@ std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
   cluster.set_pool(&pool);
   cluster.run_for(kHorizon, kDt);
   cluster.run_until_idle(kIdleLimit, kDt);
-  if (driver && fault_log) *fault_log = driver->log();
-  return state_trace(cluster);
-}
-
-struct ShardCase {
-  std::size_t shards;
-  int threads;
-};
-constexpr ShardCase kShardCases[] = {{1, 1}, {4, 2}, {16, 8}};
-
-void expect_equivalent(u64 seed, const Scenario& sc) {
-  std::vector<std::string> legacy_log;
-  const std::string reference = legacy_run(seed, sc, &legacy_log);
-  ASSERT_FALSE(reference.empty());
-  for (const ShardCase& c : kShardCases) {
-    std::vector<std::string> log;
-    const std::string got = sharded_run(seed, sc, c.shards, c.threads, &log);
-    EXPECT_EQ(reference, got)
-        << "trace diverged at shards=" << c.shards
-        << " threads=" << c.threads << " seed=" << seed;
-    if (sc.faults) {
-      EXPECT_EQ(legacy_log, log)
-          << "fault/dispatcher log diverged at shards=" << c.shards
-          << " threads=" << c.threads << " seed=" << seed;
-    }
-  }
-}
-
-TEST(ShardedDifferential, HealthyOndemandFirstFit) {
-  Scenario sc;
-  expect_equivalent(7u, sc);
-}
-
-TEST(ShardedDifferential, HealthyEnergyAwarePlacementAndGovernor) {
-  Scenario sc;
-  sc.governor = GovernorPolicy::EnergyAware;
-  sc.placement = PlacementPolicy::EnergyAware;
-  sc.backfill = true;
-  expect_equivalent(11u, sc);
-}
-
-TEST(ShardedDifferential, FaultedFastestFirstBackfill) {
-  Scenario sc;
-  sc.governor = GovernorPolicy::EnergyAware;
-  sc.placement = PlacementPolicy::FastestFirst;
-  sc.backfill = true;
-  sc.faults = true;
-  sc.op_step_down = 1;
-  expect_equivalent(13u, sc);
-}
-
-TEST(ShardedDifferential, FaultedFacilityCap) {
-  Scenario sc;
-  sc.placement = PlacementPolicy::EnergyAware;
-  sc.facility_cap_w = 120.0 * static_cast<double>(kNodes);
-  sc.faults = true;
-  expect_equivalent(17u, sc);
-}
-
-TEST(ShardedDifferential, OddShardCountsMatchToo) {
-  // Shard counts that do not divide the node count exercise the uneven
-  // range partition; the merge must still commit in node order.
-  Scenario sc;
-  sc.faults = true;
-  const std::string reference = legacy_run(29u, sc);
-  for (std::size_t shards : {3u, 5u, 7u, 24u}) {
-    EXPECT_EQ(reference, sharded_run(29u, sc, shards, 2))
-        << "shards=" << shards;
-  }
-}
-
-// --------------------------------------------------------------------------
-// RAPL readout: both plants wrap glitched counters through the one
-// power::RaplDomain::wrap_uj, and the sampler's per-device reads agree.
-// --------------------------------------------------------------------------
-
-TEST(ShardedReadout, CountersMatchLegacyRaplAfterGlitchesAndWrap) {
-  constexpr u64 kSeed = 7u;
-  Cluster legacy;
-  ClusterBlueprint::exascale(kSeed, kNodes).build(legacy);
-  ShardedClusterConfig cfg;
-  cfg.shards = 4;
-  ShardedCluster sharded(cfg);
-  ClusterBlueprint::exascale(kSeed, kNodes).build(sharded);
-  submit_job_mix(legacy, kSeed, 4 * kJobs);
-  submit_job_mix(sharded, kSeed, 4 * kJobs);
-
-  // Glitch offsets in joules: positive, negative (below zero total, so the
-  // reading itself goes negative), and large enough that uj >= 2^53.
-  const double kOffsets[] = {1234.567, -987.25, -5.0e4, 3.3e9, -1.0e12, 0.1};
-  auto glitch = [&](std::size_t round) {
-    for (std::size_t i = 0; i < kNodes; ++i) {
-      const std::size_t d = (i + round) % legacy.node_device_count(i);
-      const double j = kOffsets[(i + round) % std::size(kOffsets)];
-      legacy.set_reading_offset_j(i, d, j);
-      sharded.set_reading_offset_j(i, d, j);
-    }
-  };
-  glitch(0);
-  legacy.run_for(200.0, kDt);
-  sharded.run_for(200.0, kDt);
-  glitch(1);
-  legacy.run_until_idle(kIdleLimit, kDt);
-  sharded.run_until_idle(kIdleLimit, kDt);
-  // Idle long enough for devices to park: reads must catch their energy up.
-  legacy.run_for(600.0, kDt);
-  sharded.run_for(600.0, kDt);
-  ASSERT_LT(sharded.full_device_steps(),
-            sharded.steps() * sharded.device_count());
-
-  std::size_t wrapped = 0;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    const std::size_t n_dev = legacy.node_device_count(i);
-    ASSERT_EQ(n_dev, sharded.node_device_count(i));
-    for (std::size_t d = 0; d < n_dev; ++d) {
-      const power::RaplDomain& rapl = legacy.nodes()[i].device(d).rapl();
-      if (rapl.total_j() * 1e6 >= 4294967296.0) ++wrapped;
-      EXPECT_EQ(sharded.device_counter_uj(i, d), rapl.counter_uj())
-          << "node " << i << " dev " << d;
-      EXPECT_EQ(sharded.device_busy(i, d), legacy.device_busy(i, d));
-      EXPECT_EQ(sharded.device_temperature_c(i, d),
-                legacy.device_temperature_c(i, d));
-      EXPECT_EQ(sharded.device_progress_rate_ups(i, d),
-                legacy.device_progress_rate_ups(i, d));
-    }
-  }
-  EXPECT_GT(wrapped, 0u) << "the run never wrapped a counter";
-  EXPECT_THROW(sharded.device_counter_uj(kNodes, 0), Error);
-  EXPECT_THROW(
-      sharded.device_progress_rate_ups(0, sharded.node_device_count(0)), Error);
-  EXPECT_THROW(legacy.set_node_slowdown(kNodes, 2.0), Error);
-  EXPECT_THROW(sharded.set_node_slowdown(kNodes, 2.0), Error);
-}
-
-// --------------------------------------------------------------------------
-// Golden fixtures: the legacy stepper generates them, the sharded engine
-// must reproduce them byte-for-byte (regen with ANTAREX_UPDATE_GOLDEN=1).
-// --------------------------------------------------------------------------
-
-std::string golden_document(u64 seed, const Scenario& sc, bool legacy) {
-  std::vector<std::string> log;
-  const std::string trace = legacy ? legacy_run(seed, sc, &log)
-                                   : sharded_run(seed, sc, 4, 2, &log);
-  std::string doc = trace;
-  doc += "--- fault log ---\n";
-  for (const std::string& line : log) {
-    doc += line;
-    doc += '\n';
-  }
-  return doc;
+  return document(cluster, driver ? &*driver : nullptr);
 }
 
 std::string read_file(const std::string& path) {
@@ -239,130 +89,229 @@ std::string read_file(const std::string& path) {
   return ss.str();
 }
 
-Scenario golden_scenario() {
-  Scenario sc;
-  sc.governor = GovernorPolicy::EnergyAware;
-  sc.placement = PlacementPolicy::FastestFirst;
-  sc.backfill = true;
-  sc.faults = true;
-  return sc;
-}
-
-class GoldenSharded : public ::testing::TestWithParam<u64> {};
-
-TEST_P(GoldenSharded, LegacyGeneratedFixtureMatchesShardedEngine) {
-  const u64 seed = GetParam();
-  const Scenario sc = golden_scenario();
-  const std::string legacy = golden_document(seed, sc, /*legacy=*/true);
-
-  const std::string path = std::string(ANTAREX_GOLDEN_DIR) +
-                           "/sharded_replay_" + std::to_string(seed) + ".txt";
-  if (const char* update = std::getenv("ANTAREX_UPDATE_GOLDEN");
-      update && update[0] == '1') {
-    std::ofstream out(path, std::ios::binary);
-    out << legacy;  // the fixture is always the legacy stepper's output
-    GTEST_SKIP() << "regenerated " << path;
-  }
-  const std::string fixture = read_file(path);
-  ASSERT_FALSE(fixture.empty()) << "missing fixture " << path
-                                << " (run with ANTAREX_UPDATE_GOLDEN=1)";
-  EXPECT_EQ(legacy, fixture);
-  EXPECT_EQ(golden_document(seed, sc, /*legacy=*/false), fixture);
-}
-
-INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
-                         ::testing::Values(42u, 1337u));
-
-// --------------------------------------------------------------------------
-// Plant oracles: every differential scenario above, recorded from the legacy
-// stepper (regen with ANTAREX_UPDATE_GOLDEN=1) so the sharded engine can be
-// checked against files once the live legacy twin is gone.
-// --------------------------------------------------------------------------
-
 struct Oracle {
   const char* name;
   u64 seed;
   Scenario sc;
 };
 
-std::vector<Oracle> oracles() {
-  Scenario energy_aware;
-  energy_aware.governor = GovernorPolicy::EnergyAware;
-  energy_aware.placement = PlacementPolicy::EnergyAware;
-  energy_aware.backfill = true;
-  Scenario fastest;
-  fastest.governor = GovernorPolicy::EnergyAware;
-  fastest.placement = PlacementPolicy::FastestFirst;
-  fastest.backfill = true;
-  fastest.faults = true;
-  fastest.op_step_down = 1;
-  Scenario capped;
-  capped.placement = PlacementPolicy::EnergyAware;
-  capped.facility_cap_w = 120.0 * static_cast<double>(kNodes);
-  capped.faults = true;
-  Scenario odd;
-  odd.faults = true;
-  return {{"ondemand_first_fit", 7u, Scenario{}},
-          {"energy_aware_backfill", 11u, energy_aware},
-          {"fastest_first_faulted", 13u, fastest},
-          {"facility_cap_faulted", 17u, capped},
-          {"odd_shards_faulted", 29u, odd}};
-}
-
 std::string oracle_path(const std::string& name, u64 seed) {
   return std::string(ANTAREX_GOLDEN_DIR) + "/plant_oracle_" + name + "_" +
          std::to_string(seed) + ".txt";
 }
 
-/// Per-device sampler reads after the glitch/wrap/park readout scenario.
-std::string legacy_readout(u64 seed) {
-  Cluster legacy;
-  ClusterBlueprint::exascale(seed, kNodes).build(legacy);
-  submit_job_mix(legacy, seed, 4 * kJobs);
+std::string oracle_text(const Oracle& o) {
+  const std::string text = read_file(oracle_path(o.name, o.seed));
+  EXPECT_FALSE(text.empty()) << "missing oracle " << oracle_path(o.name, o.seed);
+  return text;
+}
+
+const Oracle kOndemand{"ondemand_first_fit", 7u, {}};
+const Oracle kOddShards{"odd_shards_faulted", 29u, {.faults = true}};
+
+const Oracle kOracles[] = {
+    kOndemand,
+    {"energy_aware_backfill",
+     11u,
+     {.governor = GovernorPolicy::EnergyAware,
+      .placement = PlacementPolicy::EnergyAware,
+      .backfill = true}},
+    {"fastest_first_faulted",
+     13u,
+     {.governor = GovernorPolicy::EnergyAware,
+      .placement = PlacementPolicy::FastestFirst,
+      .backfill = true,
+      .faults = true,
+      .op_step_down = 1}},
+    {"facility_cap_faulted",
+     17u,
+     {.placement = PlacementPolicy::EnergyAware,
+      .facility_cap_w = 120.0 * static_cast<double>(kNodes),
+      .faults = true}},
+    kOddShards,
+};
+
+struct ShardCase {
+  std::size_t shards;
+  int threads;
+};
+constexpr ShardCase kShardCases[] = {{1, 1}, {4, 2}, {16, 8}};
+
+class PlantOracle : public ::testing::TestWithParam<Oracle> {};
+
+TEST_P(PlantOracle, ShardedEngineReproducesTheOracle) {
+  const Oracle& o = GetParam();
+  const std::string oracle = oracle_text(o);
+  for (const ShardCase& c : kShardCases) {
+    EXPECT_EQ(oracle, sharded_run(o.seed, o.sc, c.shards, c.threads))
+        << "trace diverged at shards=" << c.shards << " threads=" << c.threads
+        << " seed=" << o.seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Scenarios, PlantOracle, ::testing::ValuesIn(kOracles),
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
+
+TEST(PlantOracleShards, OddShardCountsMatchToo) {
+  // Shard counts that do not divide the node count exercise the uneven
+  // range partition; the merge must still commit in node order.
+  const std::string oracle = oracle_text(kOddShards);
+  for (std::size_t shards : {3u, 5u, 7u, 24u}) {
+    EXPECT_EQ(oracle, sharded_run(kOddShards.seed, kOddShards.sc, shards, 2))
+        << "shards=" << shards;
+  }
+}
+
+// --------------------------------------------------------------------------
+// RAPL readout: glitched counters wrap through power::RaplDomain::wrap_uj,
+// parked devices catch their energy up before a read, and the sampler's
+// per-device reads match the recorded oracle.
+// --------------------------------------------------------------------------
+
+constexpr u64 kReadoutSeed = 7u;
+
+/// Runs the glitch/wrap/park readout scenario and returns the per-device
+/// sampler reads, one line per device.
+template <typename Plant>
+std::string readout_run(Plant& plant) {
+  submit_job_mix(plant, kReadoutSeed, 4 * kJobs);
+  // Glitch offsets in joules: positive, negative (below zero total, so the
+  // reading itself goes negative), and large enough that uj >= 2^53.
   const double kOffsets[] = {1234.567, -987.25, -5.0e4, 3.3e9, -1.0e12, 0.1};
   auto glitch = [&](std::size_t round) {
     for (std::size_t i = 0; i < kNodes; ++i) {
-      const std::size_t d = (i + round) % legacy.node_device_count(i);
-      legacy.set_reading_offset_j(i, d, kOffsets[(i + round) % std::size(kOffsets)]);
+      const std::size_t d = (i + round) % plant.node_device_count(i);
+      plant.set_reading_offset_j(i, d,
+                                 kOffsets[(i + round) % std::size(kOffsets)]);
     }
   };
   glitch(0);
-  legacy.run_for(200.0, kDt);
+  plant.run_for(200.0, kDt);
   glitch(1);
-  legacy.run_until_idle(kIdleLimit, kDt);
-  legacy.run_for(600.0, kDt);
+  plant.run_until_idle(kIdleLimit, kDt);
+  // Idle long enough for devices to park: reads must catch their energy up.
+  plant.run_for(600.0, kDt);
   std::string out;
   char buf[256];
   for (std::size_t i = 0; i < kNodes; ++i)
-    for (std::size_t d = 0; d < legacy.node_device_count(i); ++d) {
+    for (std::size_t d = 0; d < plant.node_device_count(i); ++d) {
       std::snprintf(buf, sizeof(buf),
                     "node %zu dev %zu uj=%u busy=%d temp=%.17g rate=%.17g\n", i,
-                    d, legacy.device_counter_uj(i, d),
-                    legacy.device_busy(i, d) ? 1 : 0,
-                    legacy.device_temperature_c(i, d),
-                    legacy.device_progress_rate_ups(i, d));
+                    d, plant.device_counter_uj(i, d),
+                    plant.device_busy(i, d) ? 1 : 0,
+                    plant.device_temperature_c(i, d),
+                    plant.device_progress_rate_ups(i, d));
       out += buf;
     }
   return out;
 }
 
-TEST(PlantOracle, LegacyStepperMatchesRecordedOracles) {
-  const char* update = std::getenv("ANTAREX_UPDATE_GOLDEN");
-  const bool regen = update && update[0] == '1';
-  std::vector<std::pair<std::string, std::string>> docs;
-  for (const Oracle& o : oracles())
-    docs.emplace_back(oracle_path(o.name, o.seed),
-                      golden_document(o.seed, o.sc, /*legacy=*/true));
-  docs.emplace_back(oracle_path("readout", 7u), legacy_readout(7u));
-  for (const auto& [path, doc] : docs) {
-    if (regen) {
-      std::ofstream out(path, std::ios::binary);
-      out << doc;
-      continue;
+const Oracle kReadout{"readout", kReadoutSeed, {}};
+
+TEST(PlantReadout, CountersMatchTheOracleAfterGlitchesWrapAndParking) {
+  ShardedClusterConfig cfg;
+  cfg.shards = 4;
+  ShardedCluster sharded(cfg);
+  ClusterBlueprint::exascale(kReadoutSeed, kNodes).build(sharded);
+  EXPECT_EQ(oracle_text(kReadout), readout_run(sharded));
+  ASSERT_LT(sharded.full_device_steps(),
+            sharded.steps() * sharded.device_count());
+
+  std::size_t wrapped = 0;
+  for (std::size_t i = 0; i < kNodes; ++i)
+    for (std::size_t d = 0; d < sharded.node_device_count(i); ++d)
+      if (sharded.device_energy_j(i, d) * 1e6 >= 4294967296.0) ++wrapped;
+  EXPECT_GT(wrapped, 0u) << "the run never wrapped a counter";
+  EXPECT_THROW(sharded.device_counter_uj(kNodes, 0), Error);
+  EXPECT_THROW(
+      sharded.device_progress_rate_ups(0, sharded.node_device_count(0)), Error);
+  EXPECT_THROW(sharded.set_node_slowdown(kNodes, 2.0), Error);
+}
+
+// --------------------------------------------------------------------------
+// Replay fixtures (EnergyAware governor, FastestFirst + backfill, faults),
+// recorded from the original per-object stepper.
+// --------------------------------------------------------------------------
+
+class GoldenSharded : public ::testing::TestWithParam<u64> {};
+
+TEST_P(GoldenSharded, ShardedEngineReproducesTheRecordedReplay) {
+  const u64 seed = GetParam();
+  const Scenario sc{.governor = GovernorPolicy::EnergyAware,
+                    .placement = PlacementPolicy::FastestFirst,
+                    .backfill = true,
+                    .faults = true};
+  const std::string path = std::string(ANTAREX_GOLDEN_DIR) +
+                           "/sharded_replay_" + std::to_string(seed) + ".txt";
+  const std::string fixture = read_file(path);
+  ASSERT_FALSE(fixture.empty()) << "missing fixture " << path;
+  EXPECT_EQ(sharded_run(seed, sc, 4, 2), fixture);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
+                         ::testing::Values(42u, 1337u));
+
+// --------------------------------------------------------------------------
+// The cut-down legacy plant still reproduces every oracle it can run.
+// --------------------------------------------------------------------------
+
+/// Builds the blueprint as the per-object plant, names as the oracles saw
+/// them ("n<i>", "n<i>.d<j>").
+void build_legacy(const ClusterBlueprint& bp, Cluster& cluster) {
+  char name[48];
+  for (std::size_t i = 0; i < bp.nodes.size(); ++i) {
+    std::snprintf(name, sizeof(name), "n%zu", i);
+    Node node(name, bp.nodes[i].base_power_w);
+    for (std::size_t j = 0; j < bp.nodes[i].devices.size(); ++j) {
+      const auto& [sid, var] = bp.nodes[i].devices[j];
+      std::snprintf(name, sizeof(name), "n%zu.d%zu", i, j);
+      node.add_device(Device(name, bp.specs[sid], var));
     }
-    EXPECT_EQ(doc, read_file(path)) << path;
+    cluster.add_node(std::move(node));
   }
-  if (regen) GTEST_SKIP() << "regenerated the plant oracles";
+}
+
+std::string legacy_run(const Oracle& o) {
+  Cluster cluster(base_config(o.sc));
+  build_legacy(ClusterBlueprint::exascale(o.seed, kNodes), cluster);
+  submit_job_mix(cluster, o.seed, kJobs);
+  std::optional<fault::FaultInjector<Cluster>> injector;
+  if (o.sc.faults)
+    injector.emplace(cluster, make_fault_schedule(kNodes, kHorizon, o.seed));
+  exec::ThreadPool pool(2);
+  cluster.set_pool(&pool);
+  cluster.run_for(kHorizon, kDt);
+  cluster.run_until_idle(kIdleLimit, kDt);
+  return document(cluster, injector ? &*injector : nullptr);
+}
+
+TEST(LegacyPlant, ReproducesTheOndemandFirstFitOracles) {
+  EXPECT_EQ(oracle_text(kOndemand), legacy_run(kOndemand));
+  EXPECT_EQ(oracle_text(kOddShards), legacy_run(kOddShards));
+
+  Cluster readout;
+  build_legacy(ClusterBlueprint::exascale(kReadoutSeed, kNodes), readout);
+  EXPECT_EQ(oracle_text(kReadout), readout_run(readout));
+}
+
+TEST(LegacyPlant, RejectsConfigItDoesNotImplement) {
+  auto rejects = [](auto edit) {
+    ClusterConfig cfg;
+    edit(cfg);
+    EXPECT_THROW(Cluster{cfg}, Error);
+  };
+  rejects([](ClusterConfig& c) { c.governor = GovernorPolicy::Performance; });
+  rejects([](ClusterConfig& c) { c.governor = GovernorPolicy::EnergyAware; });
+  rejects([](ClusterConfig& c) {
+    c.placement = PlacementPolicy::FastestFirst;
+  });
+  rejects([](ClusterConfig& c) { c.placement = PlacementPolicy::EnergyAware; });
+  rejects([](ClusterConfig& c) { c.backfill = true; });
+  rejects([](ClusterConfig& c) { c.facility_cap_w = 500.0; });
+  rejects([](ClusterConfig& c) { c.thermal_guard = false; });
+  EXPECT_NO_THROW(Cluster{ClusterConfig{}});
 }
 
 }  // namespace

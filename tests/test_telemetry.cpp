@@ -13,7 +13,8 @@
 #include <thread>
 #include <vector>
 
-#include "rtrm/cluster.hpp"
+#include "power/rapl.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tuner/monitor.hpp"
@@ -541,13 +542,12 @@ TEST_F(TelemetryTest, MonitorExposesStatsThroughRegistry) {
 // --------------------------------------------------------------------------
 
 TEST_F(TelemetryTest, InstrumentedClusterRunExportsValidTrace) {
-  rtrm::ClusterConfig cfg;
-  cfg.governor = rtrm::GovernorPolicy::Ondemand;
-  cfg.control_period_s = 0.25;
-  rtrm::Cluster cluster(cfg);
-  rtrm::Node n("node0", 60.0);
-  n.add_device(rtrm::Device("cpu0", power::DeviceSpec::xeon_haswell()));
-  cluster.add_node(std::move(n));
+  rtrm::ShardedClusterConfig cfg;
+  cfg.base.governor = rtrm::GovernorPolicy::Ondemand;
+  cfg.base.control_period_s = 0.25;
+  rtrm::ShardedCluster cluster(cfg);
+  cluster.add_node(
+      60.0, {{cluster.add_spec(power::DeviceSpec::xeon_haswell()), {}}});
 
   for (u64 id = 1; id <= 3; ++id) {
     rtrm::Job j;
@@ -567,8 +567,6 @@ TEST_F(TelemetryTest, InstrumentedClusterRunExportsValidTrace) {
   EXPECT_EQ(reg.counter("rtrm.jobs.dispatched").value(), 3u);
   EXPECT_EQ(reg.counter("rtrm.jobs.completed").value(), 3u);
   EXPECT_GT(reg.counter("rtrm.dvfs_transitions").value(), 0u);
-  EXPECT_GT(reg.counter("power.rapl_samples").value(), 0u);
-  EXPECT_GT(reg.counter("power.energy_uj").value(), 0u);
   EXPECT_GT(reg.gauge("rtrm.it_power_w").max(), 0.0);
 
   const std::string chrome = telemetry::chrome_trace_json();
@@ -590,6 +588,19 @@ TEST_F(TelemetryTest, InstrumentedClusterRunExportsValidTrace) {
   const std::string metrics = telemetry::metrics_json();
   EXPECT_TRUE(json_valid(metrics));
   EXPECT_NE(metrics.find("rtrm.jobs.completed"), std::string::npos);
+}
+
+// The RAPL counter telemetry is owned by power::RaplDomain: one sample and
+// the interval's micro-joules per accumulate() call.
+TEST_F(TelemetryTest, RaplDomainCountsEverySampleAndItsMicrojoules) {
+  power::RaplDomain pkg("pkg0");
+  pkg.accumulate(100.0, 0.25);  // 25 J
+  pkg.accumulate(40.0, 0.5);    // 20 J
+  pkg.accumulate(0.0, 1.0);     // an idle sample still counts
+  auto& reg = Registry::global();
+  EXPECT_EQ(reg.counter("power.rapl_samples").value(), 3u);
+  EXPECT_EQ(reg.counter("power.energy_uj").value(), 45000000u);
+  EXPECT_DOUBLE_EQ(pkg.total_j(), 45.0);
 }
 
 // --------------------------------------------------------------------------
