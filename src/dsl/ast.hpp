@@ -43,9 +43,6 @@ struct DExpr {
 
   int line = 0;
 
-  DExpr() = default;
-  DExpr(DExpr&&) = default;
-  DExpr& operator=(DExpr&&) = default;
   /// Frees a left-deep chain (`1+1+...`, `a.b.c...`, which the parser builds
   /// without a depth bound) one link per loop iteration, not one stack frame
   /// per link.

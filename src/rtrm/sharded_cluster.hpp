@@ -1,7 +1,12 @@
 // The simulated cluster plant: the "runtime resource manager (RTRM)" box of
 // the paper's Figure 1 together with the machine it manages — dispatcher,
 // governors, hierarchical power controllers, thermal guard and cooling
-// model, advanced on a logical clock.
+// model, advanced on a logical clock. Control authority (paper Sec. V,
+// hierarchical loops): each control period the governor *proposes* a P-state
+// per device; the thermal guard and the node power controllers own
+// persistent per-device ceilings and clamp the proposal, so a ceiling a
+// violation lowered stays down until headroom returns and the loops compose
+// instead of fighting.
 //
 // State is compact structure-of-arrays partitioned into shards of contiguous
 // nodes: per-device scalars live in flat arrays, and each shard keeps a
