@@ -76,6 +76,15 @@ ExprPtr UnaryExpr::clone() const {
 }
 
 BinaryExpr::~BinaryExpr() {
+  // Short chains keep the implicit destructor's post-order, which is also
+  // the order the allocator sees in hot clone/free loops.
+  constexpr int kShallowChain = 64;
+  int depth = 0;
+  for (const Expr* e = lhs.get(); e && e->kind == ExprKind::Binary;
+       e = static_cast<const BinaryExpr*>(e)->lhs.get())
+    if (++depth > kShallowChain) break;
+  if (depth <= kShallowChain) return;
+  rhs.reset();
   ExprPtr next = std::move(lhs);
   // Releasing the link's lhs before the assignment deletes the link leaves
   // it nothing deep to free.

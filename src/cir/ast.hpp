@@ -128,9 +128,9 @@ struct BinaryExpr final : Expr {
   ExprPtr rhs;
   BinaryExpr(BinOp o, ExprPtr l, ExprPtr r)
       : Expr(ExprKind::Binary), op(o), lhs(std::move(l)), rhs(std::move(r)) {}
-  /// Frees a left-deep operator chain (`1+1+...`, which the parser builds
-  /// without a depth bound) one link per loop iteration, not one stack frame
-  /// per link.
+  /// Frees a deep left-deep operator chain (`1+1+...`, which the parser
+  /// builds without a depth bound) one link per loop iteration, not one
+  /// stack frame per link.
   ~BinaryExpr() override;
   ExprPtr clone() const override;
 };

@@ -43,9 +43,9 @@ struct DExpr {
 
   int line = 0;
 
-  /// Frees a left-deep chain (`1+1+...`, `a.b.c...`, which the parser builds
-  /// without a depth bound) one link per loop iteration, not one stack frame
-  /// per link.
+  /// Frees a deep left-deep chain (`1+1+...`, `a.b.c...`, which the parser
+  /// builds without a depth bound) one link per loop iteration, not one
+  /// stack frame per link.
   ~DExpr();
 
   DExprPtr clone() const;

@@ -7,6 +7,13 @@
 namespace antarex::dsl {
 
 DExpr::~DExpr() {
+  // Short chains keep the implicit destructor's post-order.
+  constexpr int kShallowChain = 64;
+  int depth = 0;
+  for (const DExpr* e = lhs.get(); e && e->lhs; e = e->lhs.get())
+    if (++depth > kShallowChain) break;
+  if (depth <= kShallowChain) return;
+  rhs.reset();
   DExprPtr next = std::move(lhs);
   // Releasing the link's lhs before the assignment deletes the link leaves
   // it nothing deep to free.
