@@ -150,7 +150,9 @@ BENCHMARK(BM_SpecializedDispatch)->Arg(0)->Arg(1);
 // settle every node whatever the search, hiding what A* and ALT prune; the
 // `settled` counter reports the mean nodes settled per query.
 struct RoutingFixture {
-  RoutingFixture() : rng(5), city(nav::RoadGraph::grid_city(rng, 64, 64)) {
+  RoutingFixture() {
+    Rng rng(5);
+    city = nav::RoadGraph::grid_city(rng, 64, 64);
     Rng pair_rng(17);
     const auto n = static_cast<u32>(city.num_nodes());
     for (auto& [from, to] : pairs) {
@@ -160,7 +162,6 @@ struct RoutingFixture {
       } while (to == from);
     }
   }
-  Rng rng;
   nav::RoadGraph city;
   nav::SpeedProfiles profiles;
   std::array<std::pair<u32, u32>, 64> pairs;

@@ -130,6 +130,9 @@ struct ShardedClusterConfig {
 class ShardedCluster {
  public:
   explicit ShardedCluster(ShardedClusterConfig config = {});
+  /// The dispatcher points back at its plant, so a plant never moves.
+  ShardedCluster(const ShardedCluster&) = delete;
+  ShardedCluster& operator=(const ShardedCluster&) = delete;
 
   // --- topology (frozen at the first run call) ------------------------------
   /// Register a device SKU shared by many device instances; returns its id.

@@ -38,17 +38,18 @@ rtrm::Job make_job(u64 id, double units = 1.0) {
   return j;
 }
 
-/// `nodes` nodes of one Xeon socket each, 40 W base power.
-rtrm::ShardedCluster make_cluster(std::size_t nodes,
-                                  rtrm::ClusterConfig cfg = {}) {
+rtrm::ShardedClusterConfig one_shard(rtrm::ClusterConfig cfg = {}) {
   rtrm::ShardedClusterConfig scfg;
   scfg.base = cfg;
   scfg.shards = 1;
-  rtrm::ShardedCluster c(scfg);
+  return scfg;
+}
+
+/// Appends `nodes` nodes of one Xeon socket each, 40 W base power.
+void add_cpu_nodes(rtrm::ShardedCluster& c, std::size_t nodes) {
   const u32 cpu = c.add_spec(DeviceSpec::xeon_haswell());
   for (std::size_t i = 0; i < nodes; ++i)
     c.add_node(40.0, {{cpu, power::Variability{}}});
-  return c;
 }
 
 // --------------------------------------------------------------------------
@@ -116,7 +117,8 @@ TEST(Schedule, StreamsAreIndependent) {
 // --------------------------------------------------------------------------
 
 TEST(Crash, DownNodeDrawsNoPowerAndCools) {
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   c.submit(make_job(1, 20.0));
   c.run_for(5.0);
   EXPECT_GT(c.it_power_w(), 0.0);
@@ -134,7 +136,8 @@ TEST(Crash, DownNodeDrawsNoPowerAndCools) {
 }
 
 TEST(Crash, InterruptedJobRequeuesAndCompletesAfterRepair) {
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   c.dispatcher().set_backoff_base_s(1.0);
   c.submit(make_job(1, 4.0));
   c.run_for(2.0);
@@ -155,7 +158,8 @@ TEST(Crash, InterruptedJobRequeuesAndCompletesAfterRepair) {
 TEST(Crash, CheckpointedJobKeepsBankedProgress) {
   // Without checkpoints the restart owes everything again; with them only
   // the tail past the last whole checkpoint is repeated.
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   rtrm::Job j = make_job(1, 10.0);
   j.checkpoint_units = 1.0;
   c.submit(std::move(j));
@@ -174,7 +178,8 @@ TEST(Crash, CheckpointedJobKeepsBankedProgress) {
   EXPECT_DOUBLE_EQ(done.units_done, done.units);
 
   // From-scratch control: same crash point, no checkpointing.
-  rtrm::ShardedCluster c2 = make_cluster(1);
+  rtrm::ShardedCluster c2(one_shard());
+  add_cpu_nodes(c2, 1);
   c2.submit(make_job(1, 10.0));
   c2.run_for(5.5 * unit_s);
   c2.fail_node(0);
@@ -184,7 +189,8 @@ TEST(Crash, CheckpointedJobKeepsBankedProgress) {
 }
 
 TEST(Crash, ExponentialBackoffDelaysRestart) {
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   c.dispatcher().set_backoff_base_s(8.0);
   c.submit(make_job(1, 2.0));
   c.run_for(1.0);
@@ -199,7 +205,8 @@ TEST(Crash, ExponentialBackoffDelaysRestart) {
 }
 
 TEST(Crash, BackoffJobDoesNotBlockOthers) {
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   c.dispatcher().set_backoff_base_s(50.0);
   c.submit(make_job(1, 2.0));
   c.run_for(1.0);
@@ -213,7 +220,8 @@ TEST(Crash, BackoffJobDoesNotBlockOthers) {
 }
 
 TEST(Crash, RetryBudgetExhaustionFailsJob) {
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   c.dispatcher().set_backoff_base_s(0.25);
   rtrm::Job j = make_job(1, 50.0);  // long enough to never finish between crashes
   j.max_attempts = 2;
@@ -252,7 +260,8 @@ TEST(Glitch, CorruptsReadingNotGroundTruth) {
 }
 
 TEST(Glitch, InjectionBumpsPoisonEpoch) {
-  rtrm::ShardedCluster c = make_cluster(1);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 1);
   FaultModel m;
   m.glitch_rate_hz = 0.5;
   FaultInjector inj(c, generate_schedule(m, 1, 1, 30.0, 3));
@@ -269,7 +278,8 @@ TEST(Throttle, ForcesLowestPState) {
   // progress rate shows the effective operating point.
   rtrm::ClusterConfig cfg;
   cfg.governor = rtrm::GovernorPolicy::Performance;
-  rtrm::ShardedCluster c = make_cluster(1, cfg);
+  rtrm::ShardedCluster c(one_shard(cfg));
+  add_cpu_nodes(c, 1);
   c.submit(make_job(1, 50.0));
   c.run_for(0.25);
   const power::DvfsTable& dvfs = c.spec(0).dvfs;
@@ -292,8 +302,10 @@ TEST(Throttle, ForcesLowestPState) {
 }
 
 TEST(Slowdown, StretchesExecutionTime) {
-  rtrm::ShardedCluster fast = make_cluster(1);
-  rtrm::ShardedCluster slow = make_cluster(1);
+  rtrm::ShardedCluster fast(one_shard());
+  add_cpu_nodes(fast, 1);
+  rtrm::ShardedCluster slow(one_shard());
+  add_cpu_nodes(slow, 1);
   slow.set_node_slowdown(0, 2.0);
   fast.submit(make_job(1, 4.0));
   slow.submit(make_job(1, 4.0));
@@ -308,7 +320,8 @@ TEST(Slowdown, StretchesExecutionTime) {
 // --------------------------------------------------------------------------
 
 TEST(Injector, TracksTimeUnderFault) {
-  rtrm::ShardedCluster c = make_cluster(2);
+  rtrm::ShardedCluster c(one_shard());
+  add_cpu_nodes(c, 2);
   FaultSchedule s;
   s.horizon_s = 30.0;
   s.events.push_back({5.0, FaultKind::NodeCrash, 0, 0, 0.0, 10.0});
@@ -324,7 +337,8 @@ TEST(Injector, TracksTimeUnderFault) {
 TEST(Injector, LogIsReplayableFromSameSeed) {
   auto run = [](u64 seed) {
     telemetry::Registry::global().reset();
-    rtrm::ShardedCluster c = make_cluster(2);
+    rtrm::ShardedCluster c(one_shard());
+    add_cpu_nodes(c, 2);
     for (u64 j = 1; j <= 6; ++j) c.submit(make_job(j, 2.0));
     FaultModel m;
     m.crash_mtbf_s = 20.0;
@@ -345,7 +359,8 @@ TEST(Injector, LogIsReplayableFromSameSeed) {
 // --------------------------------------------------------------------------
 
 void expect_rejected(FaultKind kind, u32 node, u32 device) {
-  rtrm::ShardedCluster plant = make_cluster(2);
+  rtrm::ShardedCluster plant(one_shard());
+  add_cpu_nodes(plant, 2);
   FaultSchedule s;
   s.horizon_s = 1.0;
   s.events.push_back({0.5, kind, node, device, 2.0, 1.0});
@@ -381,7 +396,8 @@ std::string golden_run(u64 seed, int threads) {
   telemetry::Registry::global().reset();
   rtrm::ClusterConfig cfg;
   cfg.backfill = true;
-  rtrm::ShardedCluster cluster = make_cluster(4, cfg);
+  rtrm::ShardedCluster cluster(one_shard(cfg));
+  add_cpu_nodes(cluster, 4);
   for (u64 j = 1; j <= 12; ++j) {
     rtrm::Job job = make_job(j, 8.0 + static_cast<double>(j % 4));
     job.checkpoint_units = (j % 2 == 0) ? 0.5 : 0.0;

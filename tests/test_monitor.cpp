@@ -526,15 +526,11 @@ WorkloadModel cpu_work() {
   return w;
 }
 
-/// `nodes` nodes of one Xeon socket each, 40 W base power.
-rtrm::ShardedCluster make_cluster(std::size_t nodes) {
-  rtrm::ShardedClusterConfig cfg;
-  cfg.shards = 2;
-  rtrm::ShardedCluster c(cfg);
+/// Appends `nodes` nodes of one Xeon socket each, 40 W base power.
+void add_cpu_nodes(rtrm::ShardedCluster& c, std::size_t nodes) {
   const u32 cpu = c.add_spec(DeviceSpec::xeon_haswell());
   for (std::size_t i = 0; i < nodes; ++i)
     c.add_node(40.0, {{cpu, power::Variability{}}});
-  return c;
 }
 
 void submit_long_jobs(rtrm::ShardedCluster& c, std::size_t jobs) {
@@ -563,7 +559,8 @@ fault::FaultSchedule faulted_schedule(double horizon_s) {
 
 std::string run_monitored(int threads, double horizon_s,
                           std::string* health_out) {
-  rtrm::ShardedCluster cluster = make_cluster(8);
+  rtrm::ShardedCluster cluster;
+  add_cpu_nodes(cluster, 8);
   submit_long_jobs(cluster, 8);
 
   FabricConfig cfg;
@@ -592,7 +589,8 @@ std::string run_monitored(int threads, double horizon_s,
 }
 
 TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
-  rtrm::ShardedCluster cluster = make_cluster(8);
+  rtrm::ShardedCluster cluster;
+  add_cpu_nodes(cluster, 8);
   submit_long_jobs(cluster, 8);
 
   FabricConfig cfg;
@@ -650,7 +648,8 @@ TEST(Fabric, ByteIdenticalAcrossExecThreadCounts) {
 }
 
 TEST(Fabric, DownedNodesStopPublishing) {
-  rtrm::ShardedCluster cluster = make_cluster(4);
+  rtrm::ShardedCluster cluster;
+  add_cpu_nodes(cluster, 4);
   submit_long_jobs(cluster, 4);
   MonitorFabric fabric;
   fabric.attach(cluster);
