@@ -75,22 +75,37 @@ ExprPtr UnaryExpr::clone() const {
   return make_expr<UnaryExpr>(loc, op, operand->clone());
 }
 
-BinaryExpr::~BinaryExpr() {
-  // Short chains keep the implicit destructor's post-order, which is also
-  // the order the allocator sees in hot clone/free loops.
+namespace {
+
+/// The child a left-deep chain continues through: a binary operator's lhs or
+/// a subscript's base (`x[0][0]...`). Null for any other node.
+ExprPtr* chain_link(Expr& e) {
+  if (e.kind == ExprKind::Binary) return &static_cast<BinaryExpr&>(e).lhs;
+  if (e.kind == ExprKind::Index) return &static_cast<IndexExpr&>(e).base;
+  return nullptr;
+}
+
+/// Frees the chain hanging off `link` one link per loop iteration when it is
+/// deeper than 64 links. Short chains keep the implicit destructor's
+/// post-order, which is also the order the allocator sees in hot clone/free
+/// loops. `sibling` is the link owner's other child, freed first as the
+/// implicit destructor would.
+void free_deep_chain(ExprPtr& link, ExprPtr& sibling) {
   constexpr int kShallowChain = 64;
   int depth = 0;
-  for (const Expr* e = lhs.get(); e && e->kind == ExprKind::Binary;
-       e = static_cast<const BinaryExpr*>(e)->lhs.get())
+  for (ExprPtr* l = &link; *l && (l = chain_link(**l));)
     if (++depth > kShallowChain) break;
   if (depth <= kShallowChain) return;
-  rhs.reset();
-  ExprPtr next = std::move(lhs);
-  // Releasing the link's lhs before the assignment deletes the link leaves
+  sibling.reset();
+  ExprPtr next = std::move(link);
+  // Releasing the link's child before the assignment deletes the link leaves
   // it nothing deep to free.
-  while (next && next->kind == ExprKind::Binary)
-    next = std::move(static_cast<BinaryExpr&>(*next).lhs);
+  for (ExprPtr* l; next && (l = chain_link(*next));) next = std::move(*l);
 }
+
+}  // namespace
+
+BinaryExpr::~BinaryExpr() { free_deep_chain(lhs, rhs); }
 
 ExprPtr BinaryExpr::clone() const {
   return make_expr<BinaryExpr>(loc, op, lhs->clone(), rhs->clone());
@@ -102,6 +117,8 @@ ExprPtr CallExpr::clone() const {
   for (const auto& arg : args) a.push_back(arg->clone());
   return make_expr<CallExpr>(loc, callee, std::move(a));
 }
+
+IndexExpr::~IndexExpr() { free_deep_chain(base, index); }
 
 ExprPtr IndexExpr::clone() const {
   return make_expr<IndexExpr>(loc, base->clone(), index->clone());

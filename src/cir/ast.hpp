@@ -128,9 +128,9 @@ struct BinaryExpr final : Expr {
   ExprPtr rhs;
   BinaryExpr(BinOp o, ExprPtr l, ExprPtr r)
       : Expr(ExprKind::Binary), op(o), lhs(std::move(l)), rhs(std::move(r)) {}
-  /// Frees a deep left-deep operator chain (`1+1+...`, which the parser
-  /// builds without a depth bound) one link per loop iteration, not one
-  /// stack frame per link.
+  /// Frees a deep left-deep chain (`1+1+...`, which the parser builds
+  /// without a depth bound) one link per loop iteration, not one stack frame
+  /// per link.
   ~BinaryExpr() override;
   ExprPtr clone() const override;
 };
@@ -148,6 +148,8 @@ struct IndexExpr final : Expr {
   ExprPtr index;  // integer expression
   IndexExpr(ExprPtr b, ExprPtr i)
       : Expr(ExprKind::Index), base(std::move(b)), index(std::move(i)) {}
+  /// Frees a deep subscript chain (`x[0][0]...`) like ~BinaryExpr.
+  ~IndexExpr() override;
   ExprPtr clone() const override;
 };
 

@@ -31,45 +31,17 @@ class Cluster {
 
   Node& add_node(Node node);
 
+  const std::vector<Node>& nodes() const { return nodes_; }
+
   // --- state reads, named as on ShardedCluster so code generic over the
-  // plant (the monitor fabric's sampler, the canonical state trace) is
-  // written once --------------------------------------------------------------
+  // plant (the monitor fabric's sampler) is written once -------------------
   std::size_t node_count() const { return nodes_.size(); }
   std::size_t node_device_count(std::size_t node) const {
     return nodes_[node].device_count();
   }
   bool node_failed(std::size_t node) const { return nodes_[node].failed(); }
-  u64 node_crashes(std::size_t node) const { return nodes_[node].crashes(); }
-  double node_downtime_s(std::size_t node) const {
-    return nodes_[node].downtime_s();
-  }
-  double node_energy_j(std::size_t node) const {
-    return nodes_[node].rapl().total_j();
-  }
-  double node_power_w(std::size_t node) const { return nodes_[node].power_w(); }
   double node_base_power_w(std::size_t node) const {
     return nodes_[node].base_power_w();
-  }
-  std::size_t device_op_index(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).op_index();
-  }
-  bool device_throttled(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).throttled();
-  }
-  double device_slowdown(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).slowdown();
-  }
-  double device_energy_j(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).rapl().total_j();
-  }
-  double device_busy_seconds(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).busy_seconds();
-  }
-  u64 device_completed_jobs(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).completed_jobs();
-  }
-  u64 device_interrupted_jobs(std::size_t node, std::size_t dev) const {
-    return nodes_[node].device(dev).interrupted_jobs();
   }
   u32 device_counter_uj(std::size_t node, std::size_t dev) const {
     return nodes_[node].device(dev).rapl().counter_uj();

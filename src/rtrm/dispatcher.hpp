@@ -27,9 +27,6 @@ class Dispatcher {
   std::size_t failed() const { return failed_.size(); }
   const std::vector<Job>& failed_jobs() const { return failed_; }
   u64 requeued_jobs() const { return requeued_; }
-  /// Always 0: this dispatcher never backfills. Named as on
-  /// ShardedDispatcher so the canonical state trace reads both.
-  u64 backfilled_jobs() const { return 0; }
 
   /// Place queued jobs on the first free compatible device, in queue order;
   /// a job that cannot be placed blocks later ones (FCFS). Jobs in crash

@@ -1,8 +1,8 @@
 // Shared fixtures for the plant oracle and property suites: seed-
 // deterministic job mixes, fault environments, and the canonical state trace.
 // The trace reads every per-node and per-device observable of a run at full
-// precision through the accessors both plants name alike — two runs simulate
-// the same plant iff their traces are byte-identical.
+// precision — two runs simulate the same plant iff their traces are
+// byte-identical.
 #pragma once
 
 #include <cstdarg>
@@ -84,6 +84,14 @@ inline void line(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+/// Per-node and per-device trace lines, shared with the legacy plant's trace
+/// in test_sharded_cluster.cpp so both speak the oracle files' format.
+inline constexpr const char* kNodeLine =
+    "node %zu failed=%d crashes=%llu down=%.17g e=%.17g p=%.17g\n";
+inline constexpr const char* kDeviceLine =
+    "  dev %zu op=%zu busy=%d thr=%d slow=%.17g temp=%.17g e=%.17g "
+    "uj=%u busy_s=%.17g done=%llu intr=%llu\n";
+
 inline void job_lines(std::string& out, const std::vector<Job>& jobs,
                       const char* tag) {
   for (const Job& j : jobs)
@@ -92,32 +100,11 @@ inline void job_lines(std::string& out, const std::vector<Job>& jobs,
          j.start_time_s, j.finish_time_s, j.attempts, j.device_name.c_str());
 }
 
-}  // namespace trace_detail
-
-/// Canonical state trace of a plant run (rtrm::ShardedCluster, or the
-/// legacy rtrm::Cluster that bench_monitor still measures).
-template <typename Plant>
-std::string state_trace(Plant& c) {
-  using trace_detail::line;
-  std::string out;
-  for (std::size_t i = 0; i < c.node_count(); ++i) {
-    line(out, "node %zu failed=%d crashes=%llu down=%.17g e=%.17g p=%.17g\n",
-         i, c.node_failed(i) ? 1 : 0,
-         static_cast<unsigned long long>(c.node_crashes(i)),
-         c.node_downtime_s(i), c.node_energy_j(i), c.node_power_w(i));
-    for (std::size_t d = 0; d < c.node_device_count(i); ++d) {
-      line(out,
-           "  dev %zu op=%zu busy=%d thr=%d slow=%.17g temp=%.17g e=%.17g "
-           "uj=%u busy_s=%.17g done=%llu intr=%llu\n",
-           d, c.device_op_index(i, d), c.device_busy(i, d) ? 1 : 0,
-           c.device_throttled(i, d) ? 1 : 0, c.device_slowdown(i, d),
-           c.device_temperature_c(i, d), c.device_energy_j(i, d),
-           c.device_counter_uj(i, d), c.device_busy_seconds(i, d),
-           static_cast<unsigned long long>(c.device_completed_jobs(i, d)),
-           static_cast<unsigned long long>(c.device_interrupted_jobs(i, d)));
-    }
-  }
-  const ClusterTelemetry& t = c.telemetry();
+/// The plant-wide end of the trace: telemetry, dispatcher counts, and the
+/// finished and failed jobs.
+template <typename Disp>
+void plant_lines(std::string& out, const ClusterTelemetry& t,
+                 const Disp& d, u64 backfilled) {
   line(out,
        "final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g maxt=%.17g "
        "done=%llu fail=%llu\n",
@@ -125,12 +112,34 @@ std::string state_trace(Plant& c) {
        t.max_temperature_c, static_cast<unsigned long long>(t.jobs_completed),
        static_cast<unsigned long long>(t.jobs_failed));
   line(out, "disp q=%zu run=%zu done=%zu fail=%zu requeue=%llu backfill=%llu\n",
-       c.dispatcher().queued(), c.dispatcher().running(),
-       c.dispatcher().completed(), c.dispatcher().failed(),
-       static_cast<unsigned long long>(c.dispatcher().requeued_jobs()),
-       static_cast<unsigned long long>(c.dispatcher().backfilled_jobs()));
-  trace_detail::job_lines(out, c.dispatcher().completed_jobs(), "jobC");
-  trace_detail::job_lines(out, c.dispatcher().failed_jobs(), "jobF");
+       d.queued(), d.running(), d.completed(), d.failed(),
+       static_cast<unsigned long long>(d.requeued_jobs()),
+       static_cast<unsigned long long>(backfilled));
+  job_lines(out, d.completed_jobs(), "jobC");
+  job_lines(out, d.failed_jobs(), "jobF");
+}
+
+}  // namespace trace_detail
+
+/// Canonical state trace of a plant run.
+inline std::string state_trace(ShardedCluster& c) {
+  using trace_detail::line;
+  std::string out;
+  for (std::size_t i = 0; i < c.node_count(); ++i) {
+    line(out, trace_detail::kNodeLine, i, c.node_failed(i) ? 1 : 0,
+         static_cast<unsigned long long>(c.node_crashes(i)),
+         c.node_downtime_s(i), c.node_energy_j(i), c.node_power_w(i));
+    for (std::size_t d = 0; d < c.node_device_count(i); ++d)
+      line(out, trace_detail::kDeviceLine, d, c.device_op_index(i, d),
+           c.device_busy(i, d) ? 1 : 0, c.device_throttled(i, d) ? 1 : 0,
+           c.device_slowdown(i, d), c.device_temperature_c(i, d),
+           c.device_energy_j(i, d), c.device_counter_uj(i, d),
+           c.device_busy_seconds(i, d),
+           static_cast<unsigned long long>(c.device_completed_jobs(i, d)),
+           static_cast<unsigned long long>(c.device_interrupted_jobs(i, d)));
+  }
+  trace_detail::plant_lines(out, c.telemetry(), c.dispatcher(),
+                            c.dispatcher().backfilled_jobs());
   return out;
 }
 

@@ -260,6 +260,14 @@ TEST(Parser, MillionTermChainsParseAndFree) {
   auto m = parse_module("int f(int x) { return " + chain(1000000, "*", "x") +
                         "; }");
   EXPECT_NE(m->find("f"), nullptr);
+  std::string subscripts = "x";
+  for (int i = 0; i < 1000000; ++i) subscripts += "[0]";
+  ExprPtr index = parse_expression(subscripts);
+  ASSERT_EQ(index->kind, ExprKind::Index);
+  index.reset();
+  // A subscript chain under a binary chain frees as one chain.
+  EXPECT_NO_THROW(
+      parse_expression(subscripts + "+" + chain(1000000, "+", "1")));
 }
 
 TEST(Parser, DuplicateFunctionNameRejected) {

@@ -4,7 +4,6 @@
 // proving a faulted run is byte-identical across exec thread counts.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -450,15 +449,8 @@ TEST_P(GoldenReplay, TraceIsByteIdenticalAcrossThreadCounts) {
 
   const std::string path = std::string(ANTAREX_GOLDEN_DIR) +
                            "/fault_replay_" + std::to_string(seed) + ".txt";
-  if (const char* update = std::getenv("ANTAREX_UPDATE_GOLDEN");
-      update && update[0] == '1') {
-    std::ofstream out(path, std::ios::binary);
-    out << t1;
-    GTEST_SKIP() << "regenerated " << path;
-  }
   const std::string fixture = read_file(path);
-  ASSERT_FALSE(fixture.empty()) << "missing fixture " << path
-                                << " (run with ANTAREX_UPDATE_GOLDEN=1)";
+  ASSERT_FALSE(fixture.empty()) << "missing fixture " << path;
   EXPECT_EQ(t1, without_per_sample_rapl_counters(fixture));
 }
 

@@ -21,6 +21,7 @@
 
 #include "exec/pool.hpp"
 #include "fault/injector.hpp"
+#include "rtrm/cluster.hpp"
 #include "sharded_common.hpp"
 
 namespace antarex::rtrm {
@@ -52,8 +53,7 @@ ClusterConfig base_config(const Scenario& sc) {
 
 /// Trace + fault log: the document every oracle file holds.
 template <typename Plant>
-std::string document(Plant& cluster, const fault::FaultInjector<Plant>* inj) {
-  std::string doc = state_trace(cluster);
+std::string document(std::string doc, const fault::FaultInjector<Plant>* inj) {
   doc += "--- fault log ---\n";
   if (inj)
     for (const std::string& line : inj->log()) {
@@ -79,7 +79,7 @@ std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
   cluster.set_pool(&pool);
   cluster.run_for(kHorizon, kDt);
   cluster.run_until_idle(kIdleLimit, kDt);
-  return document(cluster, driver ? &*driver : nullptr);
+  return document(state_trace(cluster), driver ? &*driver : nullptr);
 }
 
 std::string read_file(const std::string& path) {
@@ -273,6 +273,31 @@ void build_legacy(const ClusterBlueprint& bp, Cluster& cluster) {
   }
 }
 
+/// The canonical state trace, read off the per-object plant's nodes and
+/// devices.
+std::string legacy_state_trace(const Cluster& c) {
+  using trace_detail::line;
+  std::string out;
+  for (std::size_t i = 0; i < c.nodes().size(); ++i) {
+    const Node& node = c.nodes()[i];
+    line(out, trace_detail::kNodeLine, i, node.failed() ? 1 : 0,
+         static_cast<unsigned long long>(node.crashes()), node.downtime_s(),
+         node.rapl().total_j(), node.power_w());
+    for (std::size_t d = 0; d < node.device_count(); ++d) {
+      const Device& dev = node.device(d);
+      line(out, trace_detail::kDeviceLine, d, dev.op_index(),
+           dev.busy() ? 1 : 0, dev.throttled() ? 1 : 0, dev.slowdown(),
+           dev.temperature_c(), dev.rapl().total_j(), dev.rapl().counter_uj(),
+           dev.busy_seconds(),
+           static_cast<unsigned long long>(dev.completed_jobs()),
+           static_cast<unsigned long long>(dev.interrupted_jobs()));
+    }
+  }
+  // This dispatcher never backfills.
+  trace_detail::plant_lines(out, c.telemetry(), c.dispatcher(), 0);
+  return out;
+}
+
 std::string legacy_run(const Oracle& o) {
   Cluster cluster(base_config(o.sc));
   build_legacy(ClusterBlueprint::exascale(o.seed, kNodes), cluster);
@@ -284,7 +309,8 @@ std::string legacy_run(const Oracle& o) {
   cluster.set_pool(&pool);
   cluster.run_for(kHorizon, kDt);
   cluster.run_until_idle(kIdleLimit, kDt);
-  return document(cluster, injector ? &*injector : nullptr);
+  return document(legacy_state_trace(cluster),
+                  injector ? &*injector : nullptr);
 }
 
 TEST(LegacyPlant, ReproducesTheOndemandFirstFitOracles) {
@@ -294,6 +320,30 @@ TEST(LegacyPlant, ReproducesTheOndemandFirstFitOracles) {
   Cluster readout;
   build_legacy(ClusterBlueprint::exascale(kReadoutSeed, kNodes), readout);
   EXPECT_EQ(oracle_text(kReadout), readout_run(readout));
+}
+
+TEST(LegacyPlant, DispatcherRejectsASecondCompletion) {
+  std::vector<Node> nodes;
+  Node node("n0");
+  node.add_device(Device("n0.cpu", power::DeviceSpec::xeon_haswell()));
+  nodes.push_back(std::move(node));
+  Job job;
+  job.id = 7;
+  job.units = 1.0;
+  power::WorkloadModel cpu;
+  cpu.cpu_gcycles = 5.0;
+  cpu.cores_used = 12;
+  cpu.activity = 0.9;
+  job.profiles[power::DeviceType::Cpu] = cpu;
+  Dispatcher disp;
+  disp.submit(std::move(job));
+  disp.place(nodes, 0.0);
+  ASSERT_EQ(disp.running(), 1u);
+  disp.on_finished(7, 3.5);
+  ASSERT_EQ(disp.completed(), 1u);
+  EXPECT_EQ(disp.completed_jobs()[0].state, JobState::Done);
+  EXPECT_DOUBLE_EQ(disp.completed_jobs()[0].finish_time_s, 3.5);
+  EXPECT_THROW(disp.on_finished(7, 4.0), Error);
 }
 
 TEST(LegacyPlant, RejectsConfigItDoesNotImplement) {
