@@ -320,6 +320,21 @@ TEST(LegacyPlant, ReproducesTheOndemandFirstFitOracles) {
   Cluster readout;
   build_legacy(ClusterBlueprint::exascale(kReadoutSeed, kNodes), readout);
   EXPECT_EQ(oracle_text(kReadout), readout_run(readout));
+  EXPECT_THROW(readout.set_node_slowdown(kNodes, 2.0), Error);
+}
+
+power::WorkloadModel cpu_work() {
+  power::WorkloadModel w;
+  w.cpu_gcycles = 5.0;
+  w.cores_used = 12;
+  w.activity = 0.9;
+  return w;
+}
+
+TEST(LegacyPlant, DeviceRejectsASecondJob) {
+  Device dev("cpu0", power::DeviceSpec::xeon_haswell());
+  dev.assign(cpu_work(), 1.0, 1);
+  EXPECT_THROW(dev.assign(cpu_work(), 1.0, 2), Error);
 }
 
 TEST(LegacyPlant, DispatcherRejectsASecondCompletion) {
@@ -330,11 +345,7 @@ TEST(LegacyPlant, DispatcherRejectsASecondCompletion) {
   Job job;
   job.id = 7;
   job.units = 1.0;
-  power::WorkloadModel cpu;
-  cpu.cpu_gcycles = 5.0;
-  cpu.cores_used = 12;
-  cpu.activity = 0.9;
-  job.profiles[power::DeviceType::Cpu] = cpu;
+  job.profiles[power::DeviceType::Cpu] = cpu_work();
   Dispatcher disp;
   disp.submit(std::move(job));
   disp.place(nodes, 0.0);
