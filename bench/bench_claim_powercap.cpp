@@ -142,7 +142,7 @@ RunResult run_scenario(double cap_w, bool faults, int threads,
     ledger.emplace(cluster);
   }
 
-  std::optional<fault::FaultInjector<rtrm::ShardedCluster>> injector;
+  std::optional<fault::FaultInjector> injector;
   fault::FaultSchedule schedule;
   if (faults) {
     fault::FaultModel model;

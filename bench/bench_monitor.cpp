@@ -3,8 +3,9 @@
 // ANTAREX's runtime layer must watch very large machines without perturbing
 // them: Examon samples out-of-band and aggregates hierarchically so the
 // monitoring footprint does not grow with the plant. We scale the simulated
-// cluster 1k -> 10k -> 100k nodes under a fault environment with a constant
-// expected number of cluster-wide events, and measure:
+// cluster (rtrm::ShardedCluster, one CPU per node) 1k -> 10k -> 100k nodes
+// under a fault environment with a constant expected number of cluster-wide
+// events, and measure:
 //
 //   - fabric-core memory (broker + aggregator + detector): capacity-shaped,
 //     gated to stay within 2x from 1k to 100k nodes (the per-device sampler
@@ -21,6 +22,7 @@
 // All quality/memory metrics are pure functions of the scenario seed and
 // land in BENCH_MONITOR.json for the CI regression gate; wall-clock figures
 // carry the measured_ prefix so the gate ignores them.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -30,6 +32,7 @@
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
 #include "monitor/monitor.hpp"
+#include "rtrm/sharded_cluster.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
 
@@ -58,13 +61,12 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
   ScaleResult res;
   res.nodes = n_nodes;
 
-  rtrm::Cluster cluster;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rtrm::Node node("n" + std::to_string(i), 40.0);
-    node.add_device(rtrm::Device("n" + std::to_string(i) + "-cpu",
-                                 power::DeviceSpec::xeon_haswell()));
-    cluster.add_node(std::move(node));
-  }
+  rtrm::ShardedClusterConfig ccfg;
+  ccfg.shards = std::max<std::size_t>(8, n_nodes / 1024);
+  rtrm::ShardedCluster cluster(ccfg);
+  const u32 cpu = cluster.add_spec(power::DeviceSpec::xeon_haswell());
+  for (std::size_t i = 0; i < n_nodes; ++i)
+    cluster.add_node(40.0, {{cpu, power::Variability{}}});
   // Homogeneous ranks of one long application (shard-level baselines assume
   // partition-homogeneous work), moderate activity so the thermal guard
   // stays out of the picture.
@@ -99,7 +101,6 @@ ScaleResult run_scale(std::size_t n_nodes, int threads) {
 
   monitor::FabricConfig fcfg;
   fcfg.shards = 64;
-  fcfg.time_self = true;
   monitor::MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
 

@@ -1,5 +1,6 @@
 #include "cir/parser.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "cir/lexer.hpp"
@@ -287,151 +288,152 @@ class Parser {
     }
   }
 
-  // Expression precedence climbing.
-  ExprPtr expression() {
+  // Expression precedence climbing. Every expression function returns its
+  // tree with the tree's depth (a leaf is 1), so a left-deep chain such as
+  // `x + x + ...`, which the loops below build without recursing, is still
+  // bounded by kMaxExprDepth for the recursive walkers that run later.
+  struct Parsed {
+    ExprPtr e;
+    std::size_t depth = 1;
+  };
+
+  ExprPtr expression() { return nested_expression().e; }
+
+  Parsed nested_expression() {
     const Nest nest(*this);
-    return or_expr();
+    return binary(0);
   }
 
-  ExprPtr or_expr() {
-    ExprPtr e = and_expr();
-    while (at(TokKind::PipePipe)) {
-      const SourceLoc loc = advance().loc;
-      e = make_binary(BinOp::Or, std::move(e), and_expr());
-      e->loc = loc;
+  /// Depth of a node over children `a` and `b` deep; past the cap it fails.
+  std::size_t node_depth(std::size_t a, std::size_t b = 0) const {
+    const std::size_t d = 1 + std::max(a, b);
+    if (d > kMaxExprDepth)
+      fail(format("expression deeper than %zu levels", kMaxExprDepth));
+    return d;
+  }
+
+  /// The binary operator `k` spells at precedence `level` (0 binds loosest:
+  /// || < && < ==,!= < <,<=,>,>= < +,- < *,/,%), if any.
+  static std::optional<BinOp> binary_op(int level, TokKind k) {
+    switch (level) {
+      case 0:
+        if (k == TokKind::PipePipe) return BinOp::Or;
+        break;
+      case 1:
+        if (k == TokKind::AmpAmp) return BinOp::And;
+        break;
+      case 2:
+        if (k == TokKind::EqEq) return BinOp::Eq;
+        if (k == TokKind::Ne) return BinOp::Ne;
+        break;
+      case 3:
+        if (k == TokKind::Lt) return BinOp::Lt;
+        if (k == TokKind::Le) return BinOp::Le;
+        if (k == TokKind::Gt) return BinOp::Gt;
+        if (k == TokKind::Ge) return BinOp::Ge;
+        break;
+      case 4:
+        if (k == TokKind::Plus) return BinOp::Add;
+        if (k == TokKind::Minus) return BinOp::Sub;
+        break;
+      case 5:
+        if (k == TokKind::Star) return BinOp::Mul;
+        if (k == TokKind::Slash) return BinOp::Div;
+        if (k == TokKind::Percent) return BinOp::Mod;
+        break;
     }
-    return e;
+    return std::nullopt;
   }
+  static constexpr int kBinaryLevels = 6;
 
-  ExprPtr and_expr() {
-    ExprPtr e = equality();
-    while (at(TokKind::AmpAmp)) {
+  /// Left-associative operators of precedence `level` and tighter.
+  Parsed binary(int level) {
+    if (level == kBinaryLevels) return unary();
+    Parsed p = binary(level + 1);
+    while (const std::optional<BinOp> op = binary_op(level, peek().kind)) {
       const SourceLoc loc = advance().loc;
-      e = make_binary(BinOp::And, std::move(e), equality());
-      e->loc = loc;
+      Parsed rhs = binary(level + 1);
+      p.depth = node_depth(p.depth, rhs.depth);
+      p.e = make_binary(*op, std::move(p.e), std::move(rhs.e));
+      p.e->loc = loc;
     }
-    return e;
+    return p;
   }
 
-  ExprPtr equality() {
-    ExprPtr e = relational();
-    while (at(TokKind::EqEq) || at(TokKind::Ne)) {
-      const BinOp op = at(TokKind::EqEq) ? BinOp::Eq : BinOp::Ne;
-      const SourceLoc loc = advance().loc;
-      e = make_binary(op, std::move(e), relational());
-      e->loc = loc;
-    }
-    return e;
-  }
-
-  ExprPtr relational() {
-    ExprPtr e = additive();
-    while (true) {
-      BinOp op;
-      if (at(TokKind::Lt)) op = BinOp::Lt;
-      else if (at(TokKind::Le)) op = BinOp::Le;
-      else if (at(TokKind::Gt)) op = BinOp::Gt;
-      else if (at(TokKind::Ge)) op = BinOp::Ge;
-      else break;
-      const SourceLoc loc = advance().loc;
-      e = make_binary(op, std::move(e), additive());
-      e->loc = loc;
-    }
-    return e;
-  }
-
-  ExprPtr additive() {
-    ExprPtr e = multiplicative();
-    while (at(TokKind::Plus) || at(TokKind::Minus)) {
-      const BinOp op = at(TokKind::Plus) ? BinOp::Add : BinOp::Sub;
-      const SourceLoc loc = advance().loc;
-      e = make_binary(op, std::move(e), multiplicative());
-      e->loc = loc;
-    }
-    return e;
-  }
-
-  ExprPtr multiplicative() {
-    ExprPtr e = unary();
-    while (at(TokKind::Star) || at(TokKind::Slash) || at(TokKind::Percent)) {
-      BinOp op = BinOp::Mul;
-      if (at(TokKind::Slash)) op = BinOp::Div;
-      else if (at(TokKind::Percent)) op = BinOp::Mod;
-      const SourceLoc loc = advance().loc;
-      e = make_binary(op, std::move(e), unary());
-      e->loc = loc;
-    }
-    return e;
-  }
-
-  ExprPtr unary() {
+  Parsed unary() {
     if (at(TokKind::Minus) || at(TokKind::Bang)) {
       const UnOp op = at(TokKind::Minus) ? UnOp::Neg : UnOp::Not;
       const SourceLoc loc = advance().loc;
       const Nest nest(*this);
-      ExprPtr e = make_unary(op, unary());
-      e->loc = loc;
-      return e;
+      Parsed p = unary();
+      p.depth = node_depth(p.depth);
+      p.e = make_unary(op, std::move(p.e));
+      p.e->loc = loc;
+      return p;
     }
     return postfix();
   }
 
-  ExprPtr postfix() {
-    ExprPtr e = primary();
+  Parsed postfix() {
+    Parsed p = primary();
     while (at(TokKind::LBracket)) {
       const SourceLoc loc = advance().loc;
-      ExprPtr idx = expression();
+      Parsed idx = nested_expression();
       expect(TokKind::RBracket, "array subscript");
-      e = make_index(std::move(e), std::move(idx));
-      e->loc = loc;
+      p.depth = node_depth(p.depth, idx.depth);
+      p.e = make_index(std::move(p.e), std::move(idx.e));
+      p.e->loc = loc;
     }
-    return e;
+    return p;
   }
 
-  ExprPtr primary() {
+  Parsed primary() {
     const Token& t = peek();
     switch (t.kind) {
       case TokKind::IntLit: {
         advance();
         ExprPtr e = make_int(t.int_value);
         e->loc = t.loc;
-        return e;
+        return {std::move(e)};
       }
       case TokKind::FloatLit: {
         advance();
         ExprPtr e = make_float(t.float_value);
         e->loc = t.loc;
-        return e;
+        return {std::move(e)};
       }
       case TokKind::StrLit: {
         advance();
         ExprPtr e = make_str(t.text);
         e->loc = t.loc;
-        return e;
+        return {std::move(e)};
       }
       case TokKind::LParen: {
         advance();
-        ExprPtr e = expression();
+        Parsed p = nested_expression();
         expect(TokKind::RParen, "closing parenthesis");
-        return e;
+        return p;
       }
       case TokKind::Ident: {
         advance();
         if (match(TokKind::LParen)) {
           std::vector<ExprPtr> args;
+          std::size_t depth = 1;
           if (!at(TokKind::RParen)) {
             do {
-              args.push_back(expression());
+              Parsed arg = nested_expression();
+              depth = std::max(depth, node_depth(arg.depth));
+              args.push_back(std::move(arg.e));
             } while (match(TokKind::Comma));
           }
           expect(TokKind::RParen, "end of call arguments");
           ExprPtr e = make_call(t.text, std::move(args));
           e->loc = t.loc;
-          return e;
+          return {std::move(e), depth};
         }
         ExprPtr e = make_var(t.text);
         e->loc = t.loc;
-        return e;
+        return {std::move(e)};
       }
       default:
         fail(format("unexpected token %s in expression", tok_kind_name(t.kind)));

@@ -35,6 +35,12 @@ namespace antarex::cir {
 /// throws antarex::Error instead of exhausting the stack.
 inline constexpr std::size_t kMaxNesting = 256;
 
+/// Deepest expression tree the parser builds (a leaf is depth 1). Left-deep
+/// chains such as `x + x + ...` or `a[0][0]...` parse without nesting, so
+/// kMaxNesting does not bound them; this does, because the checker, the
+/// printer, clone() and the bytecode compiler recurse once per level.
+inline constexpr std::size_t kMaxExprDepth = 4096;
+
 /// Parses a full translation unit. Throws antarex::Error on syntax errors.
 std::unique_ptr<Module> parse_module(std::string_view source);
 

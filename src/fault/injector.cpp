@@ -6,8 +6,7 @@
 
 namespace antarex::fault {
 
-template <class Plant>
-FaultInjector<Plant>::FaultInjector(Plant& cluster, FaultSchedule schedule)
+FaultInjector::FaultInjector(rtrm::ShardedCluster& cluster, FaultSchedule schedule)
     : cluster_(cluster), schedule_(std::move(schedule)) {
   cluster_.add_step_observer(
       [this](double now, double it_power, double dt) {
@@ -22,9 +21,7 @@ FaultInjector<Plant>::FaultInjector(Plant& cluster, FaultSchedule schedule)
       });
 }
 
-template <class Plant>
-void FaultInjector<Plant>::on_step(double now_s, double /*it_power_w*/,
-                                   double dt_s) {
+void FaultInjector::on_step(double now_s, double /*it_power_w*/, double dt_s) {
   // Fault-time accounting for the step that just landed.
   const std::size_t down = cluster_.nodes_down();
   if (down > 0) {
@@ -40,8 +37,7 @@ void FaultInjector<Plant>::on_step(double now_s, double /*it_power_w*/,
   }
 }
 
-template <class Plant>
-void FaultInjector<Plant>::apply(const FaultEvent& e) {
+void FaultInjector::apply(const FaultEvent& e) {
   TELEMETRY_SPAN("fault.inject");
   ANTAREX_REQUIRE(e.node < cluster_.node_count(),
                   "FaultInjector: event for a node outside the cluster");
@@ -97,8 +93,7 @@ void FaultInjector<Plant>::apply(const FaultEvent& e) {
   log_.emplace_back(line);
 }
 
-template <class Plant>
-std::string FaultInjector<Plant>::replay_trace() const {
+std::string FaultInjector::replay_trace() const {
   std::string out;
   out += schedule_.to_text();
   for (const std::string& line : log_) {
@@ -136,8 +131,5 @@ std::string FaultInjector<Plant>::replay_trace() const {
   out += line;
   return out;
 }
-
-template class FaultInjector<rtrm::Cluster>;
-template class FaultInjector<rtrm::ShardedCluster>;
 
 }  // namespace antarex::fault

@@ -1,16 +1,15 @@
 // antarex::fault — the fault injector.
 //
-// A FaultInjector binds a FaultSchedule to a live plant — rtrm::ShardedCluster,
-// or the legacy rtrm::Cluster that bench_monitor still measures — and is
-// written once over both: it attaches itself
-// as a step observer (add_step_observer) and, after every simulation step,
-// applies all scheduled events whose timestamp has been reached through the
-// fault mutators both plants name alike. Events carry virtual timestamps,
-// injection is driven purely by the schedule and the plant's logical clock,
-// and the dispatcher's lifecycle hook is folded into the same log — so a
-// (seed, schedule) pair replays bit-identically, including across exec
-// thread counts (see replay_trace()), and produces the same log on both
-// plants (the plant oracles in tests/test_sharded_cluster.cpp pin it).
+// A FaultInjector binds a FaultSchedule to the live plant, an
+// rtrm::ShardedCluster: it attaches itself as a step observer
+// (add_step_observer) and, after every simulation step, applies all
+// scheduled events whose timestamp has been reached through the plant's
+// fault mutators. Events carry virtual timestamps, injection is driven
+// purely by the schedule and the plant's logical clock, and the dispatcher's
+// lifecycle hook is folded into the same log — so a (seed, schedule) pair
+// replays bit-identically, including across exec thread counts and shard
+// counts (see replay_trace()); the plant oracles in
+// tests/test_sharded_cluster.cpp pin the log.
 //
 // Every injection and recovery is also emitted as telemetry (fault.* counters
 // and the fault.inject span), so obs attribution and the HTML report can show
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "fault/schedule.hpp"
-#include "rtrm/cluster.hpp"
 #include "rtrm/sharded_cluster.hpp"
 
 namespace antarex::fault {
@@ -37,15 +35,12 @@ struct InjectorStats {
   double node_downtime_s = 0.0;     ///< integral of (#nodes down) * dt
 };
 
-/// Plant is rtrm::Cluster or rtrm::ShardedCluster (both instantiated in
-/// injector.cpp); `FaultInjector inj(cluster, schedule)` deduces it.
-template <class Plant>
 class FaultInjector {
  public:
   /// Attaches to the plant as an additional step observer. The injector
   /// must outlive the plant's run calls (or the plant must detach all
   /// observers first).
-  FaultInjector(Plant& cluster, FaultSchedule schedule);
+  FaultInjector(rtrm::ShardedCluster& cluster, FaultSchedule schedule);
 
   const InjectorStats& stats() const { return stats_; }
   const FaultSchedule& schedule() const { return schedule_; }
@@ -61,24 +56,18 @@ class FaultInjector {
   /// rtrm./fault./power. counters of the global telemetry registry (sorted by
   /// name; exec.* counters are excluded — they legitimately vary with thread
   /// count), and the plant's final scalars, all at full precision. Two runs
-  /// on the same plant type are replays of each other iff these strings are
-  /// byte-identical. Traces compare only within one plant: the sharded
-  /// engine batches its RAPL accounting, so its registry counts differ from
-  /// the legacy stepper's (compare log() across plants instead).
+  /// are replays of each other iff these strings are byte-identical.
   std::string replay_trace() const;
 
  private:
   void on_step(double now_s, double it_power_w, double dt_s);
   void apply(const FaultEvent& e);
 
-  Plant& cluster_;
+  rtrm::ShardedCluster& cluster_;
   FaultSchedule schedule_;
   std::size_t cursor_ = 0;
   InjectorStats stats_;
   std::vector<std::string> log_;
 };
-
-extern template class FaultInjector<rtrm::Cluster>;
-extern template class FaultInjector<rtrm::ShardedCluster>;
 
 }  // namespace antarex::fault

@@ -26,8 +26,7 @@ MonitorFabric::MonitorFabric(FabricConfig cfg)
   });
 }
 
-template <typename Plant>
-void MonitorFabric::attach_plant(Plant& plant) {
+void MonitorFabric::attach(rtrm::ShardedCluster& plant) {
   ANTAREX_REQUIRE(!attached_, "MonitorFabric: attach() called twice");
   attached_ = true;
 
@@ -49,8 +48,7 @@ void MonitorFabric::attach_plant(Plant& plant) {
       });
 }
 
-template <typename Plant>
-void MonitorFabric::on_step(Plant& plant, double now_s) {
+void MonitorFabric::on_step(rtrm::ShardedCluster& plant, double now_s) {
   if (now_s + 1e-9 < next_sample_s_) return;
   const auto t0 = std::chrono::steady_clock::now();
 
@@ -66,15 +64,12 @@ void MonitorFabric::on_step(Plant& plant, double now_s) {
   last_sample_s_ = now_s;
   while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
 
-  if (cfg_.time_self) {
-    self_s_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                             t0)
-                   .count();
-  }
+  self_s_ +=
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-template <typename Plant>
-void MonitorFabric::sample(Plant& plant, double now_s, double elapsed_s) {
+void MonitorFabric::sample(rtrm::ShardedCluster& plant, double now_s,
+                           double elapsed_s) {
   ANTAREX_REQUIRE(elapsed_s > 0.0, "MonitorFabric: non-advancing sample clock");
   for (std::size_t i = 0; i < plant.node_count(); ++i) {
     const std::size_t n_dev = plant.node_device_count(i);
@@ -115,10 +110,6 @@ void MonitorFabric::sample(Plant& plant, double now_s, double elapsed_s) {
   TELEMETRY_GAUGE("monitor.frames_published",
                   static_cast<double>(broker_.published()));
 }
-
-void MonitorFabric::attach(rtrm::Cluster& cluster) { attach_plant(cluster); }
-
-void MonitorFabric::attach(rtrm::ShardedCluster& cluster) { attach_plant(cluster); }
 
 void MonitorFabric::add_episode_listener(EpisodeListener fn) {
   ANTAREX_REQUIRE(fn != nullptr, "MonitorFabric: null episode listener");

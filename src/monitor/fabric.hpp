@@ -1,20 +1,17 @@
 // antarex::monitor — the assembled monitoring fabric.
 //
-// MonitorFabric wires the Examon pipeline onto a live plant: the SoA
-// rtrm::ShardedCluster, or the cut-down legacy rtrm::Cluster that
-// bench_monitor still measures:
+// MonitorFabric wires the Examon pipeline onto the live plant, an
+// rtrm::ShardedCluster:
 //
 //   Sampler ──frames──▶ Broker ──drain──▶ ShardAggregator
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
 //
-// attach() installs one step observer. There is one sampler, a private
-// template over the plant: both engines expose the same per-node/per-device
-// read accessors, so frames, episodes and health_json() are byte-identical
-// on either. Every sample_period_s of simulated time it samples all alive
-// nodes — power from RAPL counter *deltas* (what a real out-of-band sampler
-// reads, glitches included), hottest-device temperature, utilization, and
-// the observable progress rate — publishes one MetricFrame per node, drains
-// the broker, and rolls the aggregation step.
+// attach() installs one step observer, the sampler. Every sample_period_s of
+// simulated time it samples all alive nodes — power from RAPL counter
+// *deltas* (what a real out-of-band sampler reads, glitches included),
+// hottest-device temperature, utilization, and the observable progress
+// rate — publishes one MetricFrame per node, drains the broker, and rolls
+// the aggregation step.
 //
 // The per-device reads are the sweep's hot loop (every device of every node,
 // every period). ShardedCluster defines the four the sampler calls inline,
@@ -40,7 +37,6 @@
 #include "monitor/aggregate.hpp"
 #include "monitor/broker.hpp"
 #include "monitor/detector.hpp"
-#include "rtrm/cluster.hpp"
 
 namespace antarex::obs {
 class PolicyEngine;
@@ -57,7 +53,6 @@ namespace antarex::monitor {
 struct FabricConfig {
   u16 shards = 8;               ///< topic shards (node -> node % shards)
   double sample_period_s = 1.0; ///< min simulated seconds between samples
-  bool time_self = true;        ///< measure the fabric's own wall time
   BrokerConfig broker;
   AggregatorConfig aggregator;
   DetectorConfig detector;
@@ -76,9 +71,6 @@ class MonitorFabric {
   /// so monitoring never perturbs the plant or its parking).
   void attach(rtrm::ShardedCluster& cluster);
 
-  /// Same fabric over the legacy plant (bench_monitor's last use of it).
-  void attach(rtrm::Cluster& cluster);
-
   const FabricConfig& config() const { return cfg_; }
   u16 shard_of(std::size_t node) const {
     return static_cast<u16>(node % cfg_.shards);
@@ -96,8 +88,8 @@ class MonitorFabric {
 
   u64 samples() const { return samples_; }  ///< sampling sweeps taken
   /// Wall-clock seconds spent inside the fabric's observer (sampling,
-  /// publishing, draining, detection) when config().time_self — the
-  /// numerator of bench_monitor's overhead figure.
+  /// publishing, draining, detection) — the numerator of bench_monitor's
+  /// overhead figure.
   double self_seconds() const { return self_s_; }
 
   /// Fabric-core memory bound: broker + aggregator + detector. Excludes the
@@ -112,14 +104,8 @@ class MonitorFabric {
   std::string health_json() const;
 
  private:
-  // The sampler, written once over the plant: Plant is rtrm::Cluster or
-  // rtrm::ShardedCluster (same per-node/per-device read accessors).
-  template <typename Plant>
-  void attach_plant(Plant& plant);
-  template <typename Plant>
-  void on_step(Plant& plant, double now_s);
-  template <typename Plant>
-  void sample(Plant& plant, double now_s, double elapsed_s);
+  void on_step(rtrm::ShardedCluster& plant, double now_s);
+  void sample(rtrm::ShardedCluster& plant, double now_s, double elapsed_s);
 
   FabricConfig cfg_;
   Broker broker_;

@@ -83,8 +83,8 @@ struct WorkloadModel {
 };
 
 /// Energy to run `units` of a workload at a fixed operating point and
-/// temperature (temperature feedback is handled by rtrm::Node; this is the
-/// building block).
+/// temperature (temperature feedback is handled by the rtrm plant; this is
+/// the building block).
 double energy_j(const PowerModel& pm, const WorkloadModel& w,
                 const OperatingPoint& op, double units, double temp_c);
 

@@ -10,9 +10,9 @@
 // may be negative) shows as wrap_uj(uj), which is bit-for-bit
 // static_cast<u32>(fmod(fmod(uj, 2^32) + 2^32, 2^32)) for every finite uj,
 // computed with one trunc and two compares because the monitor sweep wraps
-// every device's counter every period. Both plants (the per-object
-// rtrm::Cluster through counter_uj(), rtrm::ShardedCluster through its SoA
-// arrays) read through this one function, so their counters cannot drift.
+// every device's counter every period. RaplDomain::counter_uj() and
+// rtrm::ShardedCluster's per-device counters both read through this one
+// function, so the two cannot drift.
 #pragma once
 
 #include <cmath>

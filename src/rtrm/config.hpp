@@ -1,5 +1,5 @@
 // Plant configuration and telemetry types, and the governor and placement
-// policy enums, shared by every rtrm plant and by the layers that drive one
+// policy enums, shared by the rtrm plant and by the layers that drive it
 // (govern, fault, monitor).
 #pragma once
 

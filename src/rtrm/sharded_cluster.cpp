@@ -469,25 +469,6 @@ void ShardedCluster::global_sync() {
   for (u32 d = 0; d < device_count(); ++d) catch_up_device(d);
 }
 
-void ShardedCluster::unpark_all() {
-  global_sync();
-  std::fill(dev_parked_.begin(), dev_parked_.end(), u8{0});
-  std::fill(node_parked_.begin(), node_parked_.end(), u8{0});
-  std::fill(node_quiet_.begin(), node_quiet_.end(), u8{0});
-  for (Shard& sh : shards_) {
-    sh.active.clear();
-    for (u32 i = sh.begin_node; i < sh.end_node; ++i) sh.active.push_back(i);
-    // parked_max_c stays: it only feeds the *monotone* max-temperature
-    // telemetry, where a past real temperature is always sound.
-  }
-}
-
-void ShardedCluster::set_ambient_c(double c) {
-  if (c == config_.base.ambient_c) return;
-  config_.base.ambient_c = c;
-  if (finalized_) unpark_all();  // every parked thermal fixed point is stale
-}
-
 void ShardedCluster::set_governor(GovernorPolicy g) {
   if (g == config_.base.governor) return;
   config_.base.governor = g;

@@ -14,8 +14,8 @@
 // per tick. Shards step independently — in parallel on the antarex::exec
 // pool — and their results merge serially in fixed shard order, so a run is
 // byte-identical across 1/2/8 workers and any shard count. The oracle traces
-// under tests/golden/plant_oracle_*.txt, recorded from the original
-// per-object stepper, pin every observable bit for bit
+// under tests/golden/plant_oracle_*.txt, recorded from the per-object
+// stepper this plant replaced, pin every observable bit for bit
 // (tests/test_sharded_cluster.cpp).
 //
 // Bit-identity is by construction, not by tolerance: every floating-point
@@ -52,6 +52,8 @@ class ThreadPool;
 namespace antarex::rtrm {
 
 class ShardedCluster;
+/// Reaches the private dispatcher and device hooks from the plant tests.
+struct PlantTestAccess;
 
 /// FCFS job placement with optional EASY backfill and crash retry over the
 /// SoA device arrays: per-type free-device index sets are visited in
@@ -92,6 +94,7 @@ class ShardedDispatcher {
 
  private:
   friend class ShardedCluster;
+  friend struct PlantTestAccess;
 
   void place(double now_s);
   void on_finished(u64 job_id, double now_s);
@@ -170,9 +173,6 @@ class ShardedCluster {
   bool run_until_idle(double max_s = 1e7, double dt_s = 0.25);
 
   const ClusterConfig& config() const { return config_.base; }
-  /// Changing ambient mid-run invalidates every parked thermal fixed point,
-  /// so this also wakes all parked state.
-  void set_ambient_c(double c);
   void set_governor(GovernorPolicy g);
   void set_op_step_down(std::size_t steps);
   std::size_t op_step_down() const { return op_step_down_; }
@@ -300,6 +300,7 @@ class ShardedCluster {
 
  private:
   friend class ShardedDispatcher;
+  friend struct PlantTestAccess;
 
   struct Shard {
     u32 begin_node = 0;
@@ -340,7 +341,6 @@ class ShardedCluster {
   void set_dev_op(u32 d, std::size_t op);
   void assign_device(u32 d, const power::WorkloadModel& w, double units,
                      u64 job_id);
-  void unpark_all();
 
   /// Replay the per-step additions a parked entity skipped, using the step
   /// size in force since the last global sync.

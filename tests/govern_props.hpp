@@ -152,14 +152,14 @@ inline CapScenarioResult run_cap_scenario(u64 seed,
   });
 
   res.faults = rng.bernoulli(0.5);
-  std::unique_ptr<fault::FaultInjector<rtrm::ShardedCluster>> injector;
+  std::unique_ptr<fault::FaultInjector> injector;
   const double horizon_s = 40.0;
   if (res.faults) {
     fault::FaultModel model;
     model.crash_mtbf_s = 20.0 + 40.0 * rng.uniform();
     model.crash_weibull_shape = 1.2;
     model.repair_mean_s = 4.0 + 8.0 * rng.uniform();
-    injector = std::make_unique<fault::FaultInjector<rtrm::ShardedCluster>>(
+    injector = std::make_unique<fault::FaultInjector>(
         cluster, fault::generate_schedule(model, static_cast<u32>(n_nodes), 1,
                                           horizon_s, seed));
     cluster.run_for(horizon_s, 0.25);

@@ -102,7 +102,6 @@ inline MonitorScenarioResult run_monitor_scenario(u64 seed, int threads) {
 
   FabricConfig fcfg;
   fcfg.shards = res.shards;
-  fcfg.time_self = false;
   MonitorFabric fabric(fcfg);
   fabric.attach(cluster);
   // Post-attach (subscriptions registered), pre-traffic: the capacity shape.

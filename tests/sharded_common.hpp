@@ -18,8 +18,8 @@ namespace antarex::rtrm {
 /// Seed-deterministic heterogeneous job mix: every job can run on a CPU;
 /// about half also profile a GPU and a third a MIC, with different costs —
 /// exercising the dispatcher's multi-type placement.
-template <typename ClusterLike>
-inline void submit_job_mix(ClusterLike& cluster, u64 seed, std::size_t n_jobs) {
+inline void submit_job_mix(ShardedCluster& cluster, u64 seed,
+                           std::size_t n_jobs) {
   Rng rng(seed ^ 0x0b5eed5ULL);
   for (std::size_t j = 0; j < n_jobs; ++j) {
     Job job;
@@ -84,39 +84,12 @@ inline void line(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
-/// Per-node and per-device trace lines, shared with the legacy plant's trace
-/// in test_sharded_cluster.cpp so both speak the oracle files' format.
-inline constexpr const char* kNodeLine =
-    "node %zu failed=%d crashes=%llu down=%.17g e=%.17g p=%.17g\n";
-inline constexpr const char* kDeviceLine =
-    "  dev %zu op=%zu busy=%d thr=%d slow=%.17g temp=%.17g e=%.17g "
-    "uj=%u busy_s=%.17g done=%llu intr=%llu\n";
-
 inline void job_lines(std::string& out, const std::vector<Job>& jobs,
                       const char* tag) {
   for (const Job& j : jobs)
     line(out, "%s %llu units_done=%.17g t0=%.17g t1=%.17g attempts=%d dev=%s\n",
          tag, static_cast<unsigned long long>(j.id), j.units_done,
          j.start_time_s, j.finish_time_s, j.attempts, j.device_name.c_str());
-}
-
-/// The plant-wide end of the trace: telemetry, dispatcher counts, and the
-/// finished and failed jobs.
-template <typename Disp>
-void plant_lines(std::string& out, const ClusterTelemetry& t,
-                 const Disp& d, u64 backfilled) {
-  line(out,
-       "final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g maxt=%.17g "
-       "done=%llu fail=%llu\n",
-       t.time_s, t.it_energy_j, t.facility_energy_j, t.peak_it_power_w,
-       t.max_temperature_c, static_cast<unsigned long long>(t.jobs_completed),
-       static_cast<unsigned long long>(t.jobs_failed));
-  line(out, "disp q=%zu run=%zu done=%zu fail=%zu requeue=%llu backfill=%llu\n",
-       d.queued(), d.running(), d.completed(), d.failed(),
-       static_cast<unsigned long long>(d.requeued_jobs()),
-       static_cast<unsigned long long>(backfilled));
-  job_lines(out, d.completed_jobs(), "jobC");
-  job_lines(out, d.failed_jobs(), "jobF");
 }
 
 }  // namespace trace_detail
@@ -126,20 +99,36 @@ inline std::string state_trace(ShardedCluster& c) {
   using trace_detail::line;
   std::string out;
   for (std::size_t i = 0; i < c.node_count(); ++i) {
-    line(out, trace_detail::kNodeLine, i, c.node_failed(i) ? 1 : 0,
+    line(out, "node %zu failed=%d crashes=%llu down=%.17g e=%.17g p=%.17g\n",
+         i, c.node_failed(i) ? 1 : 0,
          static_cast<unsigned long long>(c.node_crashes(i)),
          c.node_downtime_s(i), c.node_energy_j(i), c.node_power_w(i));
-    for (std::size_t d = 0; d < c.node_device_count(i); ++d)
-      line(out, trace_detail::kDeviceLine, d, c.device_op_index(i, d),
-           c.device_busy(i, d) ? 1 : 0, c.device_throttled(i, d) ? 1 : 0,
-           c.device_slowdown(i, d), c.device_temperature_c(i, d),
-           c.device_energy_j(i, d), c.device_counter_uj(i, d),
-           c.device_busy_seconds(i, d),
+    for (std::size_t d = 0; d < c.node_device_count(i); ++d) {
+      line(out,
+           "  dev %zu op=%zu busy=%d thr=%d slow=%.17g temp=%.17g e=%.17g "
+           "uj=%u busy_s=%.17g done=%llu intr=%llu\n",
+           d, c.device_op_index(i, d), c.device_busy(i, d) ? 1 : 0,
+           c.device_throttled(i, d) ? 1 : 0, c.device_slowdown(i, d),
+           c.device_temperature_c(i, d), c.device_energy_j(i, d),
+           c.device_counter_uj(i, d), c.device_busy_seconds(i, d),
            static_cast<unsigned long long>(c.device_completed_jobs(i, d)),
            static_cast<unsigned long long>(c.device_interrupted_jobs(i, d)));
+    }
   }
-  trace_detail::plant_lines(out, c.telemetry(), c.dispatcher(),
-                            c.dispatcher().backfilled_jobs());
+  const ClusterTelemetry& t = c.telemetry();
+  line(out,
+       "final t=%.17g it_e=%.17g fac_e=%.17g peak=%.17g maxt=%.17g "
+       "done=%llu fail=%llu\n",
+       t.time_s, t.it_energy_j, t.facility_energy_j, t.peak_it_power_w,
+       t.max_temperature_c, static_cast<unsigned long long>(t.jobs_completed),
+       static_cast<unsigned long long>(t.jobs_failed));
+  const ShardedDispatcher& disp = c.dispatcher();
+  line(out, "disp q=%zu run=%zu done=%zu fail=%zu requeue=%llu backfill=%llu\n",
+       disp.queued(), disp.running(), disp.completed(), disp.failed(),
+       static_cast<unsigned long long>(disp.requeued_jobs()),
+       static_cast<unsigned long long>(disp.backfilled_jobs()));
+  trace_detail::job_lines(out, disp.completed_jobs(), "jobC");
+  trace_detail::job_lines(out, disp.failed_jobs(), "jobF");
   return out;
 }
 

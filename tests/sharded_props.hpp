@@ -72,7 +72,7 @@ inline ShardedScenarioResult run_sharded_scenario(u64 seed, std::size_t shards,
 
   const double horizon_s = 30.0;
   const bool faulted = rng.bernoulli(0.7);
-  std::optional<fault::FaultInjector<ShardedCluster>> driver;
+  std::optional<fault::FaultInjector> driver;
   if (faulted)
     driver.emplace(cluster, make_fault_schedule(n_nodes, horizon_s, seed));
 

@@ -242,8 +242,8 @@ TEST(Parser, NestingDepthIsBoundedByAnError) {
                Error);
 }
 
-// `term op term op ...` with `terms` terms: a left-deep chain that parses
-// iteratively, so no nesting bound applies.
+// `term op term op ...` with `terms` terms: a left-deep chain `terms` levels
+// deep that parses iteratively, so only kMaxExprDepth bounds it.
 std::string chain(std::size_t terms, const char* op, const char* term) {
   std::string s = term;
   s.reserve(terms * (std::char_traits<char>::length(op) + 1));
@@ -251,23 +251,40 @@ std::string chain(std::size_t terms, const char* op, const char* term) {
   return s;
 }
 
-TEST(Parser, MillionTermChainsParseAndFree) {
-  // Freed one frame per link, these crashed the process at ~1M terms.
-  ExprPtr sum = parse_expression(chain(1000000, "+", "1"));
+TEST(Parser, ExpressionDepthIsBoundedByAnError) {
+  ExprPtr sum = parse_expression(chain(kMaxExprDepth, "+", "1"));
   ASSERT_EQ(sum->kind, ExprKind::Binary);
-  sum.reset();
-  EXPECT_NO_THROW(parse_expression(chain(1000000, "&&", "x")));
-  auto m = parse_module("int f(int x) { return " + chain(1000000, "*", "x") +
-                        "; }");
-  EXPECT_NE(m->find("f"), nullptr);
+  EXPECT_THROW(parse_expression(chain(kMaxExprDepth + 1, "+", "1")), Error);
+  // Each link of a subscript chain, and each call around an argument, is a
+  // level too.
   std::string subscripts = "x";
-  for (int i = 0; i < 1000000; ++i) subscripts += "[0]";
-  ExprPtr index = parse_expression(subscripts);
-  ASSERT_EQ(index->kind, ExprKind::Index);
-  index.reset();
+  for (std::size_t i = 1; i < kMaxExprDepth; ++i) subscripts += "[0]";
+  EXPECT_NO_THROW(parse_expression(subscripts));
+  EXPECT_THROW(parse_expression(subscripts + "[0]"), Error);
+  EXPECT_THROW(parse_expression("f(" + chain(kMaxExprDepth, "+", "1") + ")"),
+               Error);
+  // Million-term chains: the walkers that run after the parser recursed
+  // once per link and crashed the process on these.
+  EXPECT_THROW(parse_expression(chain(1000000, "&&", "x")), Error);
+  EXPECT_THROW(parse_module("int f(int x) { return " +
+                            chain(1000000, "*", "x") + "; }"),
+               Error);
+}
+
+TEST(Ast, MillionLinkChainsFree) {
+  // Trees a pass builds are not bound by the parser's depth cap; freed one
+  // frame per link, these crashed the process at ~1M links.
+  constexpr int kLinks = 1000000;
+  ExprPtr sum = make_int(1);
+  for (int i = 0; i < kLinks; ++i)
+    sum = make_binary(BinOp::Add, std::move(sum), make_int(1));
+  sum.reset();
+  ExprPtr index = make_var("x");
+  for (int i = 0; i < kLinks; ++i) index = make_index(std::move(index), make_int(0));
   // A subscript chain under a binary chain frees as one chain.
-  EXPECT_NO_THROW(
-      parse_expression(subscripts + "+" + chain(1000000, "+", "1")));
+  for (int i = 0; i < kLinks; ++i)
+    index = make_binary(BinOp::Add, std::move(index), make_int(1));
+  EXPECT_NO_THROW(index.reset());
 }
 
 TEST(Parser, DuplicateFunctionNameRejected) {

@@ -269,6 +269,41 @@ TEST_P(FuzzSeeds, WeavingProbesIsBehaviourPreserving) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds,
                          ::testing::Range<u64>(1000, 1040));
 
+// The deepest expression the parser accepts must get through every walker
+// that runs after it (checker, printer, pass pipelines, bytecode compiler,
+// VM) without exhausting the stack; the ASan job runs this with its larger
+// frames. One link deeper is rejected with an Error.
+TEST(DepthCap, DeepestAcceptedChainSurvivesEveryWalker) {
+  std::string chain = "p";
+  i64 expected = 3;  // the chain's value at p = 3
+  for (std::size_t i = 1; i < cir::kMaxExprDepth; ++i) {
+    chain += i % 2 ? " + p" : " - 1";
+    expected += i % 2 ? 3 : -1;
+  }
+  const std::string src =
+      "int f(int p, int* out) { out[1] = " + chain + "; return " + chain +
+      "; }\n";
+  EXPECT_THROW(cir::parse_module("int f(int p) { return " + chain + " + p; }"),
+               Error);
+
+  auto m = cir::parse_module(src);
+  EXPECT_TRUE(cir::check_module(*m).empty());
+  const std::string printed = cir::to_source(*m);
+  EXPECT_EQ(printed, cir::to_source(*cir::parse_module(printed)));
+  EXPECT_EQ(run_program(*m, 3).ret, expected);
+  for (const char* pipeline :
+       {"fold,dce,unroll:16,fold,dce,strength,inline", "unroll-partial:2"}) {
+    auto opt = cir::parse_module(src);
+    passes::PassManager pm(*opt);
+    pm.add_pipeline(pipeline);
+    pm.run_to_fixpoint(*opt->find("f"), 4);
+    EXPECT_TRUE(cir::check_module(*opt).empty()) << pipeline;
+    const RunResult got = run_program(*opt, 3);
+    EXPECT_EQ(got.ret, expected) << pipeline;
+    EXPECT_EQ(got.out[1], expected) << pipeline;
+  }
+}
+
 }  // namespace
 }  // namespace antarex
 

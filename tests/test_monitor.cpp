@@ -565,7 +565,6 @@ std::string run_monitored(int threads, double horizon_s,
 
   FabricConfig cfg;
   cfg.shards = 4;
-  cfg.time_self = false;
   MonitorFabric fabric(cfg);
   fabric.attach(cluster);
   fault::FaultInjector injector(cluster, faulted_schedule(horizon_s));
@@ -681,9 +680,7 @@ std::string sharded_health(std::size_t shards) {
   rtrm::ShardedCluster cluster(cfg);
   rtrm::ClusterBlueprint::exascale(kParitySeed, kParityNodes).build(cluster);
   rtrm::submit_job_mix(cluster, kParitySeed, 2 * kParityNodes);
-  FabricConfig fcfg;
-  fcfg.time_self = false;
-  MonitorFabric fabric(fcfg);
+  MonitorFabric fabric;
   fabric.attach(cluster);
   fault::FaultInjector driver(
       cluster,

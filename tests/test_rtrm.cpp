@@ -10,6 +10,20 @@
 #include "telemetry/telemetry.hpp"
 
 namespace antarex::rtrm {
+
+/// The plant's private job-lifecycle entry points, which its own stepping
+/// only calls in a valid state; the tests call them out of turn.
+struct PlantTestAccess {
+  static void on_finished(ShardedCluster& c, u64 job_id, double now_s) {
+    c.dispatcher().on_finished(job_id, now_s);
+  }
+  static void assign_device(ShardedCluster& c, u32 device,
+                            const power::WorkloadModel& w, double units,
+                            u64 job_id) {
+    c.assign_device(device, w, units, job_id);
+  }
+};
+
 namespace {
 
 using power::DeviceSpec;
@@ -149,6 +163,9 @@ TEST(Device, NeverTakesASecondJob) {
   EXPECT_EQ(c.dispatcher().queued(), 1u);
   EXPECT_EQ(c.dispatcher().device_of(1), 0u);
   EXPECT_EQ(c.dispatcher().device_of(2), ShardedDispatcher::kInvalidDevice);
+  // The device itself refuses a second job, whoever places it.
+  EXPECT_THROW(PlantTestAccess::assign_device(c, 0, simple_work(), 1.0, 2),
+               Error);
 }
 
 // --------------------------------------------------------------------------
@@ -478,6 +495,9 @@ TEST(Dispatcher, CompletionMovesJobToDone) {
   EXPECT_GT(done.finish_time_s, done.start_time_s);
   EXPECT_EQ(c.dispatcher().running(), 0u);
   EXPECT_EQ(c.dispatcher().device_of(7), ShardedDispatcher::kInvalidDevice);
+  // A completion for a job that is not running is rejected.
+  EXPECT_THROW(PlantTestAccess::on_finished(c, 7, 4.0), Error);
+  EXPECT_EQ(c.dispatcher().completed(), 1u);
 }
 
 // --------------------------------------------------------------------------

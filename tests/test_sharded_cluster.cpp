@@ -5,10 +5,6 @@
 // per-device observable at full %.17g precision — plus the fault/dispatcher
 // log, and must come out identical across 1/4/16 shards and 1/2/8 exec
 // workers, with and without injected crash/repair schedules.
-//
-// The cut-down legacy rtrm::Cluster, which bench_monitor still measures,
-// is held to the oracles it can still run (ondemand governor, first-fit
-// placement): see the LegacyPlant tests at the end.
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -21,7 +17,6 @@
 
 #include "exec/pool.hpp"
 #include "fault/injector.hpp"
-#include "rtrm/cluster.hpp"
 #include "sharded_common.hpp"
 
 namespace antarex::rtrm {
@@ -52,8 +47,7 @@ ClusterConfig base_config(const Scenario& sc) {
 }
 
 /// Trace + fault log: the document every oracle file holds.
-template <typename Plant>
-std::string document(std::string doc, const fault::FaultInjector<Plant>* inj) {
+std::string document(std::string doc, const fault::FaultInjector* inj) {
   doc += "--- fault log ---\n";
   if (inj)
     for (const std::string& line : inj->log()) {
@@ -72,7 +66,7 @@ std::string sharded_run(u64 seed, const Scenario& sc, std::size_t shards,
   ClusterBlueprint::exascale(seed, kNodes).build(cluster);
   if (sc.op_step_down > 0) cluster.set_op_step_down(sc.op_step_down);
   submit_job_mix(cluster, seed, kJobs);
-  std::optional<fault::FaultInjector<ShardedCluster>> driver;
+  std::optional<fault::FaultInjector> driver;
   if (sc.faults)
     driver.emplace(cluster, make_fault_schedule(kNodes, kHorizon, seed));
   exec::ThreadPool pool(threads);
@@ -106,11 +100,10 @@ std::string oracle_text(const Oracle& o) {
   return text;
 }
 
-const Oracle kOndemand{"ondemand_first_fit", 7u, {}};
 const Oracle kOddShards{"odd_shards_faulted", 29u, {.faults = true}};
 
 const Oracle kOracles[] = {
-    kOndemand,
+    {"ondemand_first_fit", 7u, {}},
     {"energy_aware_backfill",
      11u,
      {.governor = GovernorPolicy::EnergyAware,
@@ -174,8 +167,7 @@ constexpr u64 kReadoutSeed = 7u;
 
 /// Runs the glitch/wrap/park readout scenario and returns the per-device
 /// sampler reads, one line per device.
-template <typename Plant>
-std::string readout_run(Plant& plant) {
+std::string readout_run(ShardedCluster& plant) {
   submit_job_mix(plant, kReadoutSeed, 4 * kJobs);
   // Glitch offsets in joules: positive, negative (below zero total, so the
   // reading itself goes negative), and large enough that uj >= 2^53.
@@ -252,128 +244,6 @@ TEST_P(GoldenSharded, ShardedEngineReproducesTheRecordedReplay) {
 
 INSTANTIATE_TEST_SUITE_P(Fixtures, GoldenSharded,
                          ::testing::Values(42u, 1337u));
-
-// --------------------------------------------------------------------------
-// The cut-down legacy plant still reproduces every oracle it can run.
-// --------------------------------------------------------------------------
-
-/// Builds the blueprint as the per-object plant, names as the oracles saw
-/// them ("n<i>", "n<i>.d<j>").
-void build_legacy(const ClusterBlueprint& bp, Cluster& cluster) {
-  char name[48];
-  for (std::size_t i = 0; i < bp.nodes.size(); ++i) {
-    std::snprintf(name, sizeof(name), "n%zu", i);
-    Node node(name, bp.nodes[i].base_power_w);
-    for (std::size_t j = 0; j < bp.nodes[i].devices.size(); ++j) {
-      const auto& [sid, var] = bp.nodes[i].devices[j];
-      std::snprintf(name, sizeof(name), "n%zu.d%zu", i, j);
-      node.add_device(Device(name, bp.specs[sid], var));
-    }
-    cluster.add_node(std::move(node));
-  }
-}
-
-/// The canonical state trace, read off the per-object plant's nodes and
-/// devices.
-std::string legacy_state_trace(const Cluster& c) {
-  using trace_detail::line;
-  std::string out;
-  for (std::size_t i = 0; i < c.nodes().size(); ++i) {
-    const Node& node = c.nodes()[i];
-    line(out, trace_detail::kNodeLine, i, node.failed() ? 1 : 0,
-         static_cast<unsigned long long>(node.crashes()), node.downtime_s(),
-         node.rapl().total_j(), node.power_w());
-    for (std::size_t d = 0; d < node.device_count(); ++d) {
-      const Device& dev = node.device(d);
-      line(out, trace_detail::kDeviceLine, d, dev.op_index(),
-           dev.busy() ? 1 : 0, dev.throttled() ? 1 : 0, dev.slowdown(),
-           dev.temperature_c(), dev.rapl().total_j(), dev.rapl().counter_uj(),
-           dev.busy_seconds(),
-           static_cast<unsigned long long>(dev.completed_jobs()),
-           static_cast<unsigned long long>(dev.interrupted_jobs()));
-    }
-  }
-  // This dispatcher never backfills.
-  trace_detail::plant_lines(out, c.telemetry(), c.dispatcher(), 0);
-  return out;
-}
-
-std::string legacy_run(const Oracle& o) {
-  Cluster cluster(base_config(o.sc));
-  build_legacy(ClusterBlueprint::exascale(o.seed, kNodes), cluster);
-  submit_job_mix(cluster, o.seed, kJobs);
-  std::optional<fault::FaultInjector<Cluster>> injector;
-  if (o.sc.faults)
-    injector.emplace(cluster, make_fault_schedule(kNodes, kHorizon, o.seed));
-  exec::ThreadPool pool(2);
-  cluster.set_pool(&pool);
-  cluster.run_for(kHorizon, kDt);
-  cluster.run_until_idle(kIdleLimit, kDt);
-  return document(legacy_state_trace(cluster),
-                  injector ? &*injector : nullptr);
-}
-
-TEST(LegacyPlant, ReproducesTheOndemandFirstFitOracles) {
-  EXPECT_EQ(oracle_text(kOndemand), legacy_run(kOndemand));
-  EXPECT_EQ(oracle_text(kOddShards), legacy_run(kOddShards));
-
-  Cluster readout;
-  build_legacy(ClusterBlueprint::exascale(kReadoutSeed, kNodes), readout);
-  EXPECT_EQ(oracle_text(kReadout), readout_run(readout));
-  EXPECT_THROW(readout.set_node_slowdown(kNodes, 2.0), Error);
-}
-
-power::WorkloadModel cpu_work() {
-  power::WorkloadModel w;
-  w.cpu_gcycles = 5.0;
-  w.cores_used = 12;
-  w.activity = 0.9;
-  return w;
-}
-
-TEST(LegacyPlant, DeviceRejectsASecondJob) {
-  Device dev("cpu0", power::DeviceSpec::xeon_haswell());
-  dev.assign(cpu_work(), 1.0, 1);
-  EXPECT_THROW(dev.assign(cpu_work(), 1.0, 2), Error);
-}
-
-TEST(LegacyPlant, DispatcherRejectsASecondCompletion) {
-  std::vector<Node> nodes;
-  Node node("n0");
-  node.add_device(Device("n0.cpu", power::DeviceSpec::xeon_haswell()));
-  nodes.push_back(std::move(node));
-  Job job;
-  job.id = 7;
-  job.units = 1.0;
-  job.profiles[power::DeviceType::Cpu] = cpu_work();
-  Dispatcher disp;
-  disp.submit(std::move(job));
-  disp.place(nodes, 0.0);
-  ASSERT_EQ(disp.running(), 1u);
-  disp.on_finished(7, 3.5);
-  ASSERT_EQ(disp.completed(), 1u);
-  EXPECT_EQ(disp.completed_jobs()[0].state, JobState::Done);
-  EXPECT_DOUBLE_EQ(disp.completed_jobs()[0].finish_time_s, 3.5);
-  EXPECT_THROW(disp.on_finished(7, 4.0), Error);
-}
-
-TEST(LegacyPlant, RejectsConfigItDoesNotImplement) {
-  auto rejects = [](auto edit) {
-    ClusterConfig cfg;
-    edit(cfg);
-    EXPECT_THROW(Cluster{cfg}, Error);
-  };
-  rejects([](ClusterConfig& c) { c.governor = GovernorPolicy::Performance; });
-  rejects([](ClusterConfig& c) { c.governor = GovernorPolicy::EnergyAware; });
-  rejects([](ClusterConfig& c) {
-    c.placement = PlacementPolicy::FastestFirst;
-  });
-  rejects([](ClusterConfig& c) { c.placement = PlacementPolicy::EnergyAware; });
-  rejects([](ClusterConfig& c) { c.backfill = true; });
-  rejects([](ClusterConfig& c) { c.facility_cap_w = 500.0; });
-  rejects([](ClusterConfig& c) { c.thermal_guard = false; });
-  EXPECT_NO_THROW(Cluster{ClusterConfig{}});
-}
 
 }  // namespace
 }  // namespace antarex::rtrm
