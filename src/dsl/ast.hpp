@@ -43,11 +43,6 @@ struct DExpr {
 
   int line = 0;
 
-  /// Frees a deep left-deep chain (`1+1+...`, `a.b.c...`, which the parser
-  /// builds without a depth bound) one link per loop iteration, not one
-  /// stack frame per link.
-  ~DExpr();
-
   DExprPtr clone() const;
 };
 
@@ -146,6 +141,12 @@ AspectLibrary parse_aspects(std::string_view source);
 /// parentheses or prefix operators sits at depth k + 1. Deeper input throws
 /// antarex::Error instead of exhausting the stack.
 inline constexpr std::size_t kDslMaxNesting = 256;
+
+/// Deepest expression tree the parser builds (a leaf is depth 1). Left-deep
+/// chains such as `a && b && ...` or `$a.b.c...` parse without nesting, so
+/// kDslMaxNesting does not bound them; this does, because the evaluator,
+/// clone() and the destructor recurse once per level.
+inline constexpr std::size_t kDslMaxExprDepth = 4096;
 
 /// Parse a single DSL expression (used in tests and filters).
 DExprPtr parse_dsl_expression(std::string_view source);

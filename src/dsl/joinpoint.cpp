@@ -145,7 +145,7 @@ Env Env::snapshot() const {
   return out;
 }
 
-Val eval_expr(const DExpr& e, const Env& env) {
+Val eval_expr(const DExpr& e, const Env& env, const JoinPoint* candidate) {
   switch (e.kind) {
     case DExprKind::Null:
       return Val::null();
@@ -156,6 +156,7 @@ Val eval_expr(const DExpr& e, const Env& env) {
     case DExprKind::Str:
       return Val::str(e.str_value);
     case DExprKind::Var: {
+      if (candidate && e.name[0] != '$') return candidate->attribute(e.name);
       const Val* v = env.find(e.name);
       if (!v)
         throw Error(format("DSL: unbound variable '%s' (line %d)", e.name.c_str(),
@@ -163,7 +164,7 @@ Val eval_expr(const DExpr& e, const Env& env) {
       return *v;
     }
     case DExprKind::Attr: {
-      const Val base = eval_expr(*e.lhs, env);
+      const Val base = eval_expr(*e.lhs, env, candidate);
       if (base.is_join_point()) return base.as_join_point()->attribute(e.name);
       if (base.is_record()) {
         const auto rec = base.as_record();
@@ -177,23 +178,23 @@ Val eval_expr(const DExpr& e, const Env& env) {
                          e.name.c_str(), e.line));
     }
     case DExprKind::Unary: {
-      const Val v = eval_expr(*e.lhs, env);
+      const Val v = eval_expr(*e.lhs, env, candidate);
       return e.un_op == DUnOp::Neg ? Val::num(-v.as_num())
                                    : Val::boolean(!v.as_bool());
     }
     case DExprKind::Binary: {
       if (e.bin_op == DBinOp::And) {
-        const Val l = eval_expr(*e.lhs, env);
+        const Val l = eval_expr(*e.lhs, env, candidate);
         if (!l.as_bool()) return Val::boolean(false);
-        return Val::boolean(eval_expr(*e.rhs, env).as_bool());
+        return Val::boolean(eval_expr(*e.rhs, env, candidate).as_bool());
       }
       if (e.bin_op == DBinOp::Or) {
-        const Val l = eval_expr(*e.lhs, env);
+        const Val l = eval_expr(*e.lhs, env, candidate);
         if (l.as_bool()) return Val::boolean(true);
-        return Val::boolean(eval_expr(*e.rhs, env).as_bool());
+        return Val::boolean(eval_expr(*e.rhs, env, candidate).as_bool());
       }
-      const Val l = eval_expr(*e.lhs, env);
-      const Val r = eval_expr(*e.rhs, env);
+      const Val l = eval_expr(*e.lhs, env, candidate);
+      const Val r = eval_expr(*e.rhs, env, candidate);
       switch (e.bin_op) {
         case DBinOp::Eq: return Val::boolean(l.equals(r));
         case DBinOp::Ne: return Val::boolean(!l.equals(r));
@@ -321,73 +322,10 @@ bool passes_filter(const JoinPointPtr& jp, const ChainStep& step) {
     return jp->attribute("name").as_str() == *step.name_filter;
   }
   if (step.attr_filter) {
-    // Attributes visible as bare identifiers; bind the jp's own variable too.
+    // Bare identifiers read the candidate's attributes; $self binds it too.
     Env env;
     env.set(JoinPoint::var_name_for_selector("self"), Val::join_point(jp));
-    // Resolve bare identifiers by attribute lookup through a wrapper env is
-    // not expressible with Env alone; instead evaluate with a custom walk:
-    // we pre-bind the attribute names used by this kind. Simpler and robust:
-    // rewrite Var nodes as attribute reads at eval time via a shim:
-    struct Shim {
-      static Val eval(const DExpr& e, const JoinPointPtr& jp, const Env& env) {
-        if (e.kind == DExprKind::Var && e.name[0] != '$')
-          return jp->attribute(e.name);
-        if (e.kind == DExprKind::Attr) {
-          const Val base = Shim::eval(*e.lhs, jp, env);
-          if (base.is_join_point()) return base.as_join_point()->attribute(e.name);
-          if (base.is_record()) {
-            const auto rec = base.as_record();
-            auto it = rec->find(e.name);
-            ANTAREX_REQUIRE(it != rec->end(), "DSL: record has no field " + e.name);
-            return it->second;
-          }
-          throw Error("DSL: '.' applied to non-object in filter");
-        }
-        if (e.kind == DExprKind::Unary) {
-          const Val v = Shim::eval(*e.lhs, jp, env);
-          return e.un_op == DUnOp::Neg ? Val::num(-v.as_num())
-                                       : Val::boolean(!v.as_bool());
-        }
-        if (e.kind == DExprKind::Binary) {
-          // Rebuild tiny expression with pre-evaluated leaves is overkill;
-          // reuse eval_expr by materializing an env of leaf values is not
-          // possible for arbitrary shapes. Evaluate directly:
-          const Val l = Shim::eval(*e.lhs, jp, env);
-          if (e.bin_op == DBinOp::And)
-            return Val::boolean(l.as_bool() && Shim::eval(*e.rhs, jp, env).as_bool());
-          if (e.bin_op == DBinOp::Or)
-            return Val::boolean(l.as_bool() || Shim::eval(*e.rhs, jp, env).as_bool());
-          const Val r = Shim::eval(*e.rhs, jp, env);
-          switch (e.bin_op) {
-            case DBinOp::Eq: return Val::boolean(l.equals(r));
-            case DBinOp::Ne: return Val::boolean(!l.equals(r));
-            case DBinOp::Add:
-              if (l.is_str() || r.is_str())
-                return Val::str(l.to_string() + r.to_string());
-              return Val::num(l.as_num() + r.as_num());
-            case DBinOp::Sub: return Val::num(l.as_num() - r.as_num());
-            case DBinOp::Mul: return Val::num(l.as_num() * r.as_num());
-            case DBinOp::Div: return Val::num(l.as_num() / r.as_num());
-            case DBinOp::Mod: return Val::num(std::fmod(l.as_num(), r.as_num()));
-            case DBinOp::Lt:
-              if (l.is_null() || r.is_null()) return Val::boolean(false);
-              return Val::boolean(l.as_num() < r.as_num());
-            case DBinOp::Le:
-              if (l.is_null() || r.is_null()) return Val::boolean(false);
-              return Val::boolean(l.as_num() <= r.as_num());
-            case DBinOp::Gt:
-              if (l.is_null() || r.is_null()) return Val::boolean(false);
-              return Val::boolean(l.as_num() > r.as_num());
-            case DBinOp::Ge:
-              if (l.is_null() || r.is_null()) return Val::boolean(false);
-              return Val::boolean(l.as_num() >= r.as_num());
-            default: break;
-          }
-        }
-        return eval_expr(e, env);  // literals
-      }
-    };
-    return Shim::eval(*step.attr_filter, jp, env).as_bool();
+    return eval_expr(*step.attr_filter, env, jp.get()).as_bool();
   }
   return true;
 }

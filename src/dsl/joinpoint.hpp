@@ -91,10 +91,12 @@ class Env {
   std::vector<std::pair<std::string, Val>> vars_;
 };
 
-/// Evaluate a DSL expression in an environment. Unknown bare identifiers
-/// throw; attribute access on join points resolves via JoinPoint::attribute;
-/// attribute access on records resolves by key.
-Val eval_expr(const DExpr& e, const Env& env);
+/// Evaluate a DSL expression in an environment. With a `candidate` join
+/// point in scope (a select filter), bare identifiers read its attributes;
+/// otherwise unknown bare identifiers throw. Attribute access on join points
+/// resolves via JoinPoint::attribute, on records by key.
+Val eval_expr(const DExpr& e, const Env& env,
+              const JoinPoint* candidate = nullptr);
 
 /// Run a select chain over a module (or rooted at a join point).
 /// The per-step filters run with the candidate join point's attributes

@@ -1,24 +1,11 @@
-#include <functional>
+#include <algorithm>
+#include <optional>
 
 #include "dsl/ast.hpp"
 #include "dsl/lexer.hpp"
 #include "support/strings.hpp"
 
 namespace antarex::dsl {
-
-DExpr::~DExpr() {
-  // Short chains keep the implicit destructor's post-order.
-  constexpr int kShallowChain = 64;
-  int depth = 0;
-  for (const DExpr* e = lhs.get(); e && e->lhs; e = e->lhs.get())
-    if (++depth > kShallowChain) break;
-  if (depth <= kShallowChain) return;
-  rhs.reset();
-  DExprPtr next = std::move(lhs);
-  // Releasing the link's lhs before the assignment deletes the link leaves
-  // it nothing deep to free.
-  while (next && next->lhs) next = std::move(next->lhs);
-}
 
 DExprPtr DExpr::clone() const {
   auto e = std::make_unique<DExpr>();
@@ -313,85 +300,97 @@ class DslParser {
     return e;
   }
 
-  DExprPtr expression() {
+  // Precedence climbing. Every expression function returns its tree with
+  // the tree's depth (a leaf is 1), so a left-deep chain such as `a && b &&
+  // ...` or `$a.b.c...`, which the loops below build without recursing, is
+  // still bounded by kDslMaxExprDepth for the recursive evaluator.
+  struct Parsed {
+    DExprPtr e;
+    std::size_t depth = 1;
+  };
+
+  DExprPtr expression() { return nested_expression().e; }
+
+  Parsed nested_expression() {
     const Nest nest(*this);
-    return or_expr();
+    return binary(0);
   }
 
-  DExprPtr binary(DBinOp op, DExprPtr l, DExprPtr r) {
-    auto e = make(DExprKind::Binary);
-    e->bin_op = op;
-    e->lhs = std::move(l);
-    e->rhs = std::move(r);
-    return e;
+  /// Depth of a node over children `a` and `b` deep; past the cap it fails.
+  std::size_t node_depth(std::size_t a, std::size_t b = 0) const {
+    const std::size_t d = 1 + std::max(a, b);
+    if (d > kDslMaxExprDepth)
+      fail(format("expression deeper than %zu levels", kDslMaxExprDepth));
+    return d;
   }
 
-  DExprPtr or_expr() {
-    DExprPtr e = and_expr();
-    while (match(DTok::OrOr)) e = binary(DBinOp::Or, std::move(e), and_expr());
-    return e;
-  }
-
-  DExprPtr and_expr() {
-    DExprPtr e = cmp_expr();
-    while (match(DTok::AndAnd)) e = binary(DBinOp::And, std::move(e), cmp_expr());
-    return e;
-  }
-
-  DExprPtr cmp_expr() {
-    DExprPtr e = add_expr();
-    while (true) {
-      DBinOp op;
-      if (at(DTok::Eq)) op = DBinOp::Eq;
-      else if (at(DTok::Ne)) op = DBinOp::Ne;
-      else if (at(DTok::Lt)) op = DBinOp::Lt;
-      else if (at(DTok::Le)) op = DBinOp::Le;
-      else if (at(DTok::Gt)) op = DBinOp::Gt;
-      else if (at(DTok::Ge)) op = DBinOp::Ge;
-      else break;
-      advance();
-      e = binary(op, std::move(e), add_expr());
+  /// The binary operator `k` spells at precedence `level` (0 binds loosest:
+  /// || < && < comparisons < +,- < *,/,%), if any.
+  static std::optional<DBinOp> binary_op(int level, DTok k) {
+    switch (level) {
+      case 0:
+        if (k == DTok::OrOr) return DBinOp::Or;
+        break;
+      case 1:
+        if (k == DTok::AndAnd) return DBinOp::And;
+        break;
+      case 2:
+        if (k == DTok::Eq) return DBinOp::Eq;
+        if (k == DTok::Ne) return DBinOp::Ne;
+        if (k == DTok::Lt) return DBinOp::Lt;
+        if (k == DTok::Le) return DBinOp::Le;
+        if (k == DTok::Gt) return DBinOp::Gt;
+        if (k == DTok::Ge) return DBinOp::Ge;
+        break;
+      case 3:
+        if (k == DTok::Plus) return DBinOp::Add;
+        if (k == DTok::Minus) return DBinOp::Sub;
+        break;
+      case 4:
+        if (k == DTok::Star) return DBinOp::Mul;
+        if (k == DTok::Slash) return DBinOp::Div;
+        if (k == DTok::Percent) return DBinOp::Mod;
+        break;
     }
-    return e;
+    return std::nullopt;
   }
+  static constexpr int kBinaryLevels = 5;
 
-  DExprPtr add_expr() {
-    DExprPtr e = mul_expr();
-    while (at(DTok::Plus) || at(DTok::Minus)) {
-      const DBinOp op = at(DTok::Plus) ? DBinOp::Add : DBinOp::Sub;
+  /// Left-associative operators of precedence `level` and tighter.
+  Parsed binary(int level) {
+    if (level == kBinaryLevels) return unary();
+    Parsed p = binary(level + 1);
+    while (const std::optional<DBinOp> op = binary_op(level, peek().kind)) {
       advance();
-      e = binary(op, std::move(e), mul_expr());
+      Parsed rhs = binary(level + 1);
+      p.depth = node_depth(p.depth, rhs.depth);
+      auto e = make(DExprKind::Binary);
+      e->bin_op = *op;
+      e->lhs = std::move(p.e);
+      e->rhs = std::move(rhs.e);
+      p.e = std::move(e);
     }
-    return e;
+    return p;
   }
 
-  DExprPtr mul_expr() {
-    DExprPtr e = unary_expr();
-    while (at(DTok::Star) || at(DTok::Slash) || at(DTok::Percent)) {
-      DBinOp op = DBinOp::Mul;
-      if (at(DTok::Slash)) op = DBinOp::Div;
-      else if (at(DTok::Percent)) op = DBinOp::Mod;
-      advance();
-      e = binary(op, std::move(e), unary_expr());
-    }
-    return e;
-  }
-
-  DExprPtr unary_expr() {
+  Parsed unary() {
     if (at(DTok::Minus) || at(DTok::Not)) {
       const DUnOp op = at(DTok::Minus) ? DUnOp::Neg : DUnOp::Not;
       advance();
       const Nest nest(*this);
       auto e = make(DExprKind::Unary);
       e->un_op = op;
-      e->lhs = unary_expr();
-      return e;
+      Parsed p = unary();
+      p.depth = node_depth(p.depth);
+      e->lhs = std::move(p.e);
+      p.e = std::move(e);
+      return p;
     }
-    return postfix_expr();
+    return postfix();
   }
 
-  DExprPtr postfix_expr() {
-    DExprPtr e = primary_expr();
+  Parsed postfix() {
+    Parsed p = primary();
     while (match(DTok::Dot)) {
       auto attr = make(DExprKind::Attr);
       if (at(DTok::Ident) || at(DTok::DollarIdent)) {
@@ -399,50 +398,46 @@ class DslParser {
       } else {
         fail("expected attribute name after '.'");
       }
-      attr->lhs = std::move(e);
-      e = std::move(attr);
+      p.depth = node_depth(p.depth);
+      attr->lhs = std::move(p.e);
+      p.e = std::move(attr);
     }
-    return e;
+    return p;
   }
 
-  DExprPtr primary_expr() {
+  Parsed primary() {
     switch (peek().kind) {
       case DTok::Num: {
         auto e = make(DExprKind::Num);
         e->num_value = advance().num;
-        return e;
+        return {std::move(e)};
       }
       case DTok::Str: {
         auto e = make(DExprKind::Str);
         e->str_value = advance().text;
-        return e;
+        return {std::move(e)};
       }
-      case DTok::KwTrue: {
-        advance();
-        auto e = make(DExprKind::Bool);
-        e->bool_value = true;
-        return e;
-      }
+      case DTok::KwTrue:
       case DTok::KwFalse: {
-        advance();
+        const bool value = advance().kind == DTok::KwTrue;
         auto e = make(DExprKind::Bool);
-        e->bool_value = false;
-        return e;
+        e->bool_value = value;
+        return {std::move(e)};
       }
       case DTok::KwNull:
         advance();
-        return make(DExprKind::Null);
+        return {make(DExprKind::Null)};
       case DTok::Ident:
       case DTok::DollarIdent: {
         auto e = make(DExprKind::Var);
         e->name = advance().text;
-        return e;
+        return {std::move(e)};
       }
       case DTok::LParen: {
         advance();
-        DExprPtr e = expression();
+        Parsed p = nested_expression();
         expect(DTok::RParen, "closing parenthesis");
-        return e;
+        return p;
       }
       default:
         fail(format("unexpected %s in expression", dtok_name(peek().kind)));

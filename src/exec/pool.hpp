@@ -54,7 +54,6 @@ struct PoolStats {
   u64 tasks = 0;                    ///< tasks executed
   u64 steals = 0;                   ///< cross-worker task acquisitions
   u64 inline_runs = 0;              ///< deque-full fallbacks (lost parallelism)
-  u64 retries = 0;                  ///< async_retry re-submissions after a throw
   std::vector<double> worker_busy_s;  ///< per-worker task execution time
   std::vector<u64> worker_tasks;
   // Submit-to-start queue wait, accumulated per task independently of
@@ -88,25 +87,6 @@ class ThreadPool {
     return active_workers_.load(std::memory_order_relaxed);
   }
 
-  // --- power-governance throttles (govern::ExecActuator) --------------------
-  /// Cap the number of workers allowed to execute tasks: workers with index
-  /// >= n park until the limit is raised. Their queues stay stealable, so
-  /// nothing strands — throughput just drops toward the serial path. Clamped
-  /// to [1, size()]; size() restores nominal. Results of parallel_for/map
-  /// are unchanged by construction (ordered reduction), only timing moves.
-  void set_worker_limit(int n);
-  int worker_limit() const {
-    return worker_limit_.load(std::memory_order_acquire);
-  }
-
-  /// Multiply the grain every parallel_for uses (>= 1): coarser chunks mean
-  /// fewer scheduling points and steals per joule, the grain-size knob of the
-  /// govern layer. 1 restores nominal.
-  void set_grain_scale(double s);
-  double grain_scale() const {
-    return grain_scale_.load(std::memory_order_relaxed);
-  }
-
   /// Fire-and-forget submission (round-robin inbox). The callable must not
   /// throw; use async() or parallel_for for exception propagation.
   void submit(std::function<void()> fn);
@@ -118,22 +98,6 @@ class ThreadPool {
     auto task = std::make_shared<std::packaged_task<R()>>(std::move(f));
     std::future<R> fut = task->get_future();
     submit([task] { (*task)(); });
-    return fut;
-  }
-
-  /// async() with a bounded retry budget: if the callable throws, it is
-  /// resubmitted to the pool until it succeeds or max_attempts executions are
-  /// spent, and only the *last* attempt's exception reaches the future. The
-  /// resilience counterpart of the dispatcher's job requeue — transient task
-  /// faults (injected or real) are absorbed instead of failing the run.
-  template <typename F>
-  auto async_retry(F f, int max_attempts)
-      -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    ANTAREX_REQUIRE(max_attempts >= 1, "async_retry: need at least one attempt");
-    auto promise = std::make_shared<std::promise<R>>();
-    std::future<R> fut = promise->get_future();
-    retry_step<R>(std::make_shared<F>(std::move(f)), promise, max_attempts);
     return fut;
   }
 
@@ -156,31 +120,6 @@ class ThreadPool {
  private:
   struct Worker;
 
-  /// One async_retry execution; resubmits itself on a throw. No cycle: each
-  /// submitted closure owns the callable/promise via shared_ptr, nothing owns
-  /// the closure after it ran.
-  template <typename R, typename Fp, typename Pp>
-  void retry_step(Fp fn, Pp promise, int attempts_left) {
-    submit([this, fn, promise, attempts_left] {
-      try {
-        if constexpr (std::is_void_v<R>) {
-          (*fn)();
-          promise->set_value();
-        } else {
-          promise->set_value((*fn)());
-        }
-      } catch (...) {
-        if (attempts_left <= 1) {
-          promise->set_exception(std::current_exception());
-          return;
-        }
-        note_retry();
-        retry_step<R>(fn, promise, attempts_left - 1);
-      }
-    });
-  }
-  void note_retry();  ///< bump the retry stat + exec.task_retries counter
-
   void worker_main(std::size_t index);
   Task* find_task(Worker& self, std::size_t index);
   void run_task(Worker& self, Task* t);
@@ -189,10 +128,7 @@ class ThreadPool {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  std::atomic<u64> retries_{0};
   std::atomic<int> active_workers_{0};
-  std::atomic<int> worker_limit_{0};  ///< set to size() in the constructor
-  std::atomic<double> grain_scale_{1.0};
   std::atomic<std::size_t> next_inbox_{0};
   std::atomic<bool> stop_{false};
   std::mutex wake_mu_;

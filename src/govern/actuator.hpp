@@ -1,20 +1,17 @@
 // antarex::govern actuators — the "act" edge of the observe-decide-act loop.
 //
 // An Actuator is a stepped restriction knob over some part of the stack: each
-// restrict() moves it one notch away from nominal (less power / parallelism /
-// admission), each relax() moves it one notch back. Steps are discrete and
-// bounded, so an actuating policy or the CapCoordinator can walk the ladder
-// without knowing what lies behind it, and level() reports where on the
-// ladder the knob currently sits.
+// restrict() moves it one notch away from nominal (less power / admission),
+// each relax() moves it one notch back. Steps are discrete and bounded, so
+// the CapCoordinator's escalation ladder (or an obs::PolicyEngine actuating
+// policy, as UC2 drives NavActuator) can walk them without knowing what lies
+// behind the knob, and level() reports where on the ladder it sits.
 //
 // Concrete actuators:
 //  - DvfsActuator      global P-state step-down on an rtrm::ShardedCluster
 //                      (one notch = every device clamped one more P-state
 //                      below its top; the classical power knob of paper
 //                      Sec. V)
-//  - ExecActuator      exec::ThreadPool throttle: first parks workers down
-//                      to a floor, then doubles the parallel_for grain —
-//                      fewer active cores, then fewer scheduling points
 //  - NavActuator       halves nav::NavServer's admission window per notch —
 //                      the server trades throughput for draw under a cap
 //
@@ -30,9 +27,6 @@
 
 namespace antarex::rtrm {
 class ShardedCluster;
-}
-namespace antarex::exec {
-class ThreadPool;
 }
 namespace antarex::nav {
 class NavServer;
@@ -88,32 +82,6 @@ class DvfsActuator final : public Actuator {
   rtrm::ShardedCluster& cluster_;
   std::size_t steps_ = 0;
   std::size_t max_steps_;
-};
-
-/// exec::ThreadPool throttle. The ladder first steps the worker limit from
-/// size() down to min_workers (one worker per notch), then doubles the grain
-/// scale per notch up to max_grain_scale. relax() walks back in reverse.
-class ExecActuator final : public Actuator {
- public:
-  explicit ExecActuator(exec::ThreadPool& pool, int min_workers = 1,
-                        double max_grain_scale = 8.0);
-
-  const std::string& name() const override { return name_; }
-  bool restrict() override;
-  bool relax() override;
-  std::size_t steps() const override { return steps_; }
-  std::size_t max_steps() const override { return max_steps_; }
-
- private:
-  void apply() const;  ///< push the ladder position into the pool
-
-  std::string name_ = "exec";
-  exec::ThreadPool& pool_;
-  int min_workers_;
-  std::size_t worker_steps_;  ///< notches that remove a worker
-  std::size_t grain_steps_;   ///< notches that double the grain
-  std::size_t max_steps_;
-  std::size_t steps_ = 0;
 };
 
 /// nav::NavServer admission shrink: each notch halves the window (floor

@@ -27,8 +27,8 @@
 //    control_period_s == dt_s this yields zero violations by construction.
 //  - When budgets alone leave the cluster over the effective cap for
 //    `actuator_patience_epochs` in a row, it walks an escalation ladder of
-//    Actuators (DVFS step-down, exec throttle, nav admission) one notch per
-//    cooldown; ample headroom walks the ladder back in reverse.
+//    Actuators (DVFS step-down, nav admission) one notch per cooldown; ample
+//    headroom walks the ladder back in reverse.
 //
 // Per-job energy attribution is not the coordinator's job: attach a
 // JobEnergyLedger (job_ledger.hpp) where it is read.

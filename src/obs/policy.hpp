@@ -18,11 +18,11 @@
 // crossing inside the cooldown window also waits it out — the hysteresis
 // that stops an oscillating signal from double-actuating.
 //
-// Actuating policies (add_actuating, the govern layer's entry point) return
-// a PolicyAction instead of being fire-and-forget: the engine counts the
-// Restrict/Relax decisions per policy and in the obs.policy_actions.*
-// counters, so reports show what the control loop *did*, not just what it
-// observed.
+// Actuating policies (add_actuating) return a PolicyAction instead of being
+// fire-and-forget; their body usually walks a govern::Actuator, as UC2's
+// admission guard walks NavActuator. The engine counts the Restrict/Relax
+// decisions per policy and in the obs.policy_actions.* counters, so reports
+// show what the control loop *did*, not just what it observed.
 //
 // Evaluation is synchronous on the calling thread (the control loop's tick,
 // or the thread exiting a span). Callbacks must not register/remove policies
@@ -51,11 +51,11 @@ struct PolicyContext {
 };
 
 /// What an actuating policy decided. The engine only counts these; applying
-/// them (DVFS step, worker throttle, admission shrink) is the actuator's job
+/// them (DVFS step, admission shrink) is the actuator's job
 /// in antarex::govern.
 enum class PolicyAction {
   None,      ///< observed, decided not to act
-  Restrict,  ///< pull the knob toward lower power / less parallelism
+  Restrict,  ///< pull the knob toward lower power / less admission
   Relax,     ///< give headroom back toward nominal
 };
 

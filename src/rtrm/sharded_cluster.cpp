@@ -967,7 +967,6 @@ void ShardedCluster::run_for(double duration_s, double dt_s) {
     clock_.advance(step);
 
     TELEMETRY_GAUGE("rtrm.it_power_w", it_power_);
-    TELEMETRY_GAUGE("rtrm.power_draw_w", it_power_);
     telemetry_.time_s = clock_.now();
     telemetry_.it_energy_j += it_power_ * step;
     telemetry_.facility_energy_j +=

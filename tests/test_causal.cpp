@@ -1,6 +1,6 @@
 // Tests for antarex::causal and the trace-context identity layer under it:
 // deterministic id derivation, context propagation through ScopedSpan and
-// the exec pool (async, async_retry, parallel_for, TaskGroup), flow-event
+// the exec pool (async, parallel_for, TaskGroup), flow-event
 // export (golden Chrome trace), queue-wait accounting in exec::PoolStats,
 // per-request tree reconstruction with orphan detection, critical-path and
 // latency decomposition, the SLO tracker, the decision ledger, and the
@@ -137,7 +137,7 @@ TEST_F(CausalTest, SpansOutsideAnyContextStayIdLess) {
 }
 
 // --------------------------------------------------------------------------
-// Pool propagation: async, async_retry, TaskGroup
+// Pool propagation: async, TaskGroup
 // --------------------------------------------------------------------------
 
 TEST_F(CausalTest, AsyncPropagatesAcrossThePool) {
@@ -161,16 +161,15 @@ TEST_F(CausalTest, AsyncPropagatesAcrossThePool) {
   EXPECT_STREQ(tree.spans[tree.root].name, "req");
 }
 
-TEST_F(CausalTest, ForkedTasksChainThroughRetriesAndGroups) {
+TEST_F(CausalTest, ForkedTasksChainThroughAsyncAndGroups) {
   exec::ThreadPool pool(2);
   const TraceContext root = TraceContext::root(6);
   {
     ContextScope scope(root);
     TELEMETRY_SPAN("req");
-    // submit()/async/async_retry/TaskGroup all fork from the current frame;
+    // submit()/async/TaskGroup all fork from the current frame;
     // each spawned task adopts the forked context on its worker.
     pool.async([] { TELEMETRY_SPAN("a"); }).get();
-    pool.async_retry([] { TELEMETRY_SPAN("b"); }, 2).get();
     exec::TaskGroup group(pool);
     group.run([] { TELEMETRY_SPAN("c"); });
     group.wait();
@@ -179,7 +178,7 @@ TEST_F(CausalTest, ForkedTasksChainThroughRetriesAndGroups) {
   ASSERT_EQ(forest.trees().size(), 1u);
   const RequestTree& tree = forest.trees()[0];
   EXPECT_TRUE(tree.complete()) << forest.structure();
-  EXPECT_EQ(tree.spans.size(), 4u);  // req + a + b + c, all one tree
+  EXPECT_EQ(tree.spans.size(), 3u);  // req + a + c, all one tree
   EXPECT_EQ(tree.orphans, 0u);
 }
 

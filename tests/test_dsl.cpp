@@ -164,23 +164,63 @@ TEST(DslParser, NestingDepthIsBoundedByAnError) {
 }
 
 // `term op term op ...` with `terms` terms: a left-deep chain that parses
-// iteratively, so no nesting bound applies.
+// iteratively, so only the expression depth cap bounds it.
 std::string chain(std::size_t terms, const char* op, const char* term) {
   std::string s = term;
-  s.reserve(terms * (std::char_traits<char>::length(op) + 1));
+  s.reserve(terms * (std::char_traits<char>::length(op) +
+                     std::char_traits<char>::length(term)));
   for (std::size_t i = 1; i < terms; ++i) (s += op) += term;
   return s;
 }
 
-TEST(DslParser, MillionTermChainsParseAndFree) {
-  // Freed one frame per link, these crashed the process at ~1M terms.
-  DExprPtr sum = parse_dsl_expression(chain(1000000, "+", "1"));
-  ASSERT_EQ(sum->kind, DExprKind::Binary);
-  sum.reset();
-  EXPECT_NO_THROW(parse_dsl_expression(chain(1000000, ".", "$a")));
-  const AspectLibrary lib = parse_aspects(
-      "aspectdef A condition " + chain(1000000, " && ", "$x") + " end end");
-  EXPECT_NE(lib.find("A"), nullptr);
+TEST(DslParser, ExpressionDepthIsBoundedByAnError) {
+  // A chain of k leaves is k deep; `$a` followed by k `.b` links is k + 1.
+  EXPECT_NO_THROW(parse_dsl_expression(chain(kDslMaxExprDepth, "+", "1")));
+  EXPECT_THROW(parse_dsl_expression(chain(kDslMaxExprDepth + 1, "+", "1")),
+               Error);
+  EXPECT_NO_THROW(parse_dsl_expression(chain(kDslMaxExprDepth, ".", "$a")));
+  EXPECT_THROW(parse_dsl_expression(chain(kDslMaxExprDepth + 1, ".", "$a")),
+               Error);
+  // Deep enough to overflow the evaluator's stack without the bound.
+  EXPECT_THROW(parse_dsl_expression(chain(1000000, "+", "1")), Error);
+  EXPECT_THROW(parse_dsl_expression(chain(1000000, ".", "$a")), Error);
+}
+
+// The two shapes that crashed `antarex-weave weave` before the cap: a
+// condition and a select filter of 300k `&&`-joined comparisons.
+TEST(DslParser, DeepConditionsAndFiltersAreRejected) {
+  const std::string condition = "aspectdef A select fCall end apply end "
+                                "condition " +
+                                chain(300000, " && ", "$fCall.name == 'saxpy'") +
+                                " end end";
+  EXPECT_THROW(parse_aspects(condition), Error);
+  const std::string filter = "aspectdef A select fCall{" +
+                             chain(300000, " && ", "name == 'saxpy'") +
+                             "} end end";
+  EXPECT_THROW(parse_aspects(filter), Error);
+}
+
+TEST(DslParser, TreesAtTheDepthCapWeave) {
+  // `$fCall.name == 'g'` is 3 deep and `name == 'g'` is 2, so these chains
+  // sit exactly at the cap; one more term is rejected.
+  const std::size_t cond_terms = kDslMaxExprDepth - 2;
+  const std::size_t filter_terms = kDslMaxExprDepth - 1;
+  auto aspect = [](std::size_t cond, std::size_t filter) {
+    return "aspectdef A output n end var c = 0; select fCall{" +
+           chain(filter, " && ", "name == 'g'") +
+           "} end apply c = c + 1; end condition " +
+           chain(cond, " && ", "$fCall.name == 'g'") + " end n = c; end";
+  };
+  EXPECT_THROW(parse_aspects(aspect(cond_terms + 1, 1)), Error);
+  EXPECT_THROW(parse_aspects(aspect(1, filter_terms + 1)), Error);
+
+  auto m = cir::parse_module(
+      "int g(int x) { return x; }"
+      "int h(int x) { return x; }"
+      "int f() { return g(1) + h(2) + g(3); }");
+  Weaver w(*m);
+  w.load_source(aspect(cond_terms, filter_terms));
+  EXPECT_EQ(w.run("A").at("n").as_num(), 2.0);
 }
 
 TEST(DslParser, EmptyApplyIsAccepted) {
@@ -332,6 +372,25 @@ TEST_F(SelectTest, NestedChainBindsBothVars) {
 TEST_F(SelectTest, LoopSelectionWithAttrFilter) {
   EXPECT_EQ(select("select loop{type=='for'} end").size(), 2u);
   EXPECT_EQ(select("select loop{type=='while'} end").size(), 0u);
+}
+
+TEST(DslSelect, FilterIdentifiersReadTheCandidate) {
+  // The first loop's trip count is unknown, so its numIter is null.
+  auto m = cir::parse_module(
+      "int f(int n) { int s = 0;"
+      " for (int i = 0; i < n; i++) { s = s + i; }"
+      " for (int j = 0; j < 4; j++) { s = s + j; } return s; }");
+  auto count = [&](const std::string& filter) {
+    const AspectLibrary lib = parse_aspects("aspectdef T select loop{" +
+                                            filter + "} end apply end end");
+    return run_select(*m, nullptr, lib.find("T")->body[0].select).size();
+  };
+  EXPECT_EQ(count("numIter <= 4"), 1u);  // a null comparison is false
+  EXPECT_EQ(count("numIter > 4"), 0u);
+  EXPECT_EQ(count("numIter == null"), 1u);
+  EXPECT_EQ(count("$self.inductionVar == 'j'"), 1u);
+  EXPECT_EQ(count("numIter == null || numIter == 4"), 2u);
+  EXPECT_THROW(count("$nope == 1"), Error);
 }
 
 TEST_F(SelectTest, ArgSelection) {

@@ -269,7 +269,7 @@ TEST(PoolStatsTest, ResetClearsCounters) {
 }
 
 // --------------------------------------------------------------------------
-// Deterministic exception selection + bounded task retry
+// Deterministic exception selection
 // --------------------------------------------------------------------------
 
 TEST(ParallelForErrors, FirstExceptionIsDeterministic) {
@@ -309,45 +309,6 @@ TEST(ParallelForErrors, AllChunksRunDespiteFailure) {
   }
   for (std::size_t i = 0; i < ran.size(); ++i)
     EXPECT_EQ(ran[i].load(), 1) << "chunk " << i;
-}
-
-TEST(AsyncRetry, SucceedsAfterTransientFailures) {
-  ThreadPool pool(2);
-  pool.reset_stats();
-  std::atomic<int> calls{0};
-  auto fut = pool.async_retry(
-      [&] {
-        if (calls.fetch_add(1) < 2) throw Error("transient");
-        return 42;
-      },
-      5);
-  EXPECT_EQ(fut.get(), 42);
-  EXPECT_EQ(calls.load(), 3);
-  EXPECT_EQ(pool.stats().retries, 2u);
-}
-
-TEST(AsyncRetry, ExhaustedBudgetPropagatesLastError) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  auto fut = pool.async_retry(
-      [&]() -> int {
-        throw Error("attempt " + std::to_string(calls.fetch_add(1) + 1));
-      },
-      3);
-  try {
-    fut.get();
-    FAIL();
-  } catch (const Error& e) {
-    EXPECT_STREQ(e.what(), "attempt 3");
-  }
-  EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(AsyncRetry, VoidCallableAndSingleAttempt) {
-  ThreadPool pool(1);
-  std::atomic<bool> ran{false};
-  pool.async_retry([&] { ran.store(true); }, 1).get();
-  EXPECT_TRUE(ran.load());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // antarex::govern: actuator ladders, the hierarchical cap coordinator's
 // budget split and priority weighting (node shares and device victim order),
-// actuating policies, fault composition, the job ledger, determinism of the
+// fault composition, the job ledger, determinism of the
 // whole loop across pool sizes, and byte-for-byte agreement with the
 // recorded oracle traces (tests/golden/govern_oracle_*.txt).
 #include "govern/govern.hpp"
@@ -96,34 +96,6 @@ TEST_F(GovernTest, DvfsActuatorWalksTheFullLadderAndBack) {
             12u);
 }
 
-TEST_F(GovernTest, ExecActuatorParksWorkersThenCoarsensGrain) {
-  exec::ThreadPool pool(4);
-  ExecActuator throttle(pool, /*min_workers=*/2, /*max_grain_scale=*/8.0);
-  // 2 worker notches (4 -> 3 -> 2) + 3 grain doublings (2x, 4x, 8x).
-  EXPECT_EQ(throttle.max_steps(), 5u);
-
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_EQ(pool.worker_limit(), 3);
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_EQ(pool.worker_limit(), 2);
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 1.0);
-
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 2.0);
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_TRUE(throttle.restrict());
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 8.0);
-  EXPECT_EQ(pool.worker_limit(), 2);
-  EXPECT_FALSE(throttle.restrict());
-
-  // Relax walks back in reverse: grain first, then workers.
-  EXPECT_TRUE(throttle.relax());
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 4.0);
-  throttle.reset();
-  EXPECT_EQ(pool.worker_limit(), 4);
-  EXPECT_DOUBLE_EQ(pool.grain_scale(), 1.0);
-}
-
 TEST_F(GovernTest, NavActuatorHalvesTheAdmissionWindow) {
   Rng rng(11);
   const nav::RoadGraph graph = nav::RoadGraph::grid_city(rng, 4, 4);
@@ -144,38 +116,6 @@ TEST_F(GovernTest, NavActuatorHalvesTheAdmissionWindow) {
 
   shed.reset();
   EXPECT_EQ(server.admission_cap(), 16u);
-}
-
-// --- actuating policies -----------------------------------------------------
-
-TEST_F(GovernTest, ActuatingPoliciesDriveTheLadderFromGauges) {
-  rtrm::ShardedCluster cluster(plant_config());
-  build_nodes(cluster, 1);
-  obs::PolicyEngine engine;
-  ActuatingPolicyConfig cfg;
-  cfg.power_cap_w = 100.0;
-  cfg.cooldown_s = 1.0;
-  auto dvfs = std::make_shared<DvfsActuator>(cluster);
-  const InstalledPolicies handles = install_actuating_policies(
-      engine, {dvfs}, /*thermal=*/nullptr, /*nav=*/nullptr, cfg);
-  ASSERT_GE(handles.power_restrict, 0);
-  ASSERT_GE(handles.power_relax, 0);
-  EXPECT_EQ(handles.thermal, -1);
-  EXPECT_EQ(handles.nav, -1);
-
-  // Draw above the cap: one notch per cooldown interval while it persists.
-  TELEMETRY_GAUGE("rtrm.power_draw_w", 140.0);
-  engine.tick(0.0);
-  engine.tick(1.0);
-  engine.tick(1.5);  // inside the cooldown: no extra notch
-  EXPECT_EQ(cluster.op_step_down(), 2u);
-  EXPECT_EQ(engine.restricts(handles.power_restrict), 2u);
-
-  // Draw well under the relax point: the ladder walks back.
-  TELEMETRY_GAUGE("rtrm.power_draw_w", 30.0);
-  engine.tick(3.0);
-  EXPECT_EQ(cluster.op_step_down(), 1u);
-  EXPECT_EQ(engine.relaxes(handles.power_relax), 1u);
 }
 
 // --- cap coordinator --------------------------------------------------------
