@@ -6,6 +6,16 @@
 
 namespace antarex::dock {
 
+namespace {
+/// Early-termination: stop a translation scan when the running score exceeds
+/// this fraction of the best; models the unpredictable per-ligand time
+/// (score landscapes differ between ligands).
+constexpr double kPruneThreshold = 0.25;
+constexpr double kRefineTStart = 2.0;       ///< initial annealing temperature (score units)
+constexpr double kRefineMaxTranslate = 1.0;  ///< proposal step (grid units)
+constexpr double kRefineMaxRotate = 0.35;    ///< proposal step (radians)
+}  // namespace
+
 std::array<double, 3> Molecule::centroid() const {
   ANTAREX_REQUIRE(!atoms.empty(), "Molecule: no atoms");
   double cx = 0, cy = 0, cz = 0;
@@ -164,7 +174,7 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
         result.best_score = s;
         result.best_pose = pose;
       } else if (result.best_score < 0.0 &&
-                 s > params.prune_threshold * result.best_score) {
+                 s > kPruneThreshold * result.best_score) {
         // Landscape around this orientation is poor; skip to the next
         // orientation once the best found here is far off the incumbent.
         break;
@@ -177,7 +187,7 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
 DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
                        const Pose& start, const RefineParams& params, Rng& rng) {
   ANTAREX_REQUIRE(params.steps >= 1, "refine_pose: need at least one step");
-  ANTAREX_REQUIRE(params.t_start >= params.t_end && params.t_end > 0.0,
+  ANTAREX_REQUIRE(kRefineTStart >= params.t_end && params.t_end > 0.0,
                   "refine_pose: bad temperature schedule");
 
   DockResult result;
@@ -187,19 +197,19 @@ DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
   result.best_score = current_score;
 
   const double cooling =
-      std::pow(params.t_end / params.t_start, 1.0 / params.steps);
-  double temperature = params.t_start;
+      std::pow(params.t_end / kRefineTStart, 1.0 / params.steps);
+  double temperature = kRefineTStart;
 
   for (int step = 0; step < params.steps; ++step) {
     Pose proposal = current;
     // Perturb one degree of freedom at a time (better acceptance at low T).
     switch (rng.uniform_int(0, 5)) {
-      case 0: proposal.tx += rng.uniform(-params.max_translate, params.max_translate); break;
-      case 1: proposal.ty += rng.uniform(-params.max_translate, params.max_translate); break;
-      case 2: proposal.tz += rng.uniform(-params.max_translate, params.max_translate); break;
-      case 3: proposal.rx += rng.uniform(-params.max_rotate, params.max_rotate); break;
-      case 4: proposal.ry += rng.uniform(-params.max_rotate, params.max_rotate); break;
-      default: proposal.rz += rng.uniform(-params.max_rotate, params.max_rotate); break;
+      case 0: proposal.tx += rng.uniform(-kRefineMaxTranslate, kRefineMaxTranslate); break;
+      case 1: proposal.ty += rng.uniform(-kRefineMaxTranslate, kRefineMaxTranslate); break;
+      case 2: proposal.tz += rng.uniform(-kRefineMaxTranslate, kRefineMaxTranslate); break;
+      case 3: proposal.rx += rng.uniform(-kRefineMaxRotate, kRefineMaxRotate); break;
+      case 4: proposal.ry += rng.uniform(-kRefineMaxRotate, kRefineMaxRotate); break;
+      default: proposal.rz += rng.uniform(-kRefineMaxRotate, kRefineMaxRotate); break;
     }
     const double s = score_pose(grid, mol, proposal);
     ++result.poses_evaluated;

@@ -222,7 +222,8 @@ std::size_t AutoSpecializer::step(const ProfileStore& profile) {
     cir::Function* variant =
         passes::specialize_function(module_, name, pname, value);
     passes::ConstantFoldPass fold;
-    passes::FullUnrollPass unroll(opts_.unroll_threshold);
+    constexpr i64 kUnrollThreshold = 256;  ///< full-unroll cap for bound loops
+    passes::FullUnrollPass unroll(kUnrollThreshold);
     passes::DeadCodeEliminationPass dce;
     fold.run(*variant);
     unroll.run(*variant);

@@ -96,7 +96,6 @@ class AutoSpecializer {
     u64 min_calls = 64;            ///< profile confidence before acting
     double min_share = 0.5;        ///< hottest value must dominate
     std::size_t max_versions = 4;  ///< per function
-    i64 unroll_threshold = 256;    ///< full-unroll cap for bound loops
   };
 
   AutoSpecializer(cir::Module& module, vm::Engine& engine)

@@ -44,7 +44,6 @@ struct FaultModel {
   double crash_mtbf_s = 0.0;
   double crash_weibull_shape = 1.5;
   double repair_mean_s = 30.0;
-  double repair_sigma = 0.25;
 
   // Transient sensor glitches on per-device RAPL counters: Poisson arrivals,
   // fixed offset magnitude, fixed visibility window.

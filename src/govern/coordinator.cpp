@@ -13,6 +13,10 @@ namespace antarex::govern {
 
 namespace {
 constexpr u32 kNoDevice = rtrm::ShardedDispatcher::kInvalidDevice;
+constexpr int kActuatorPatienceEpochs = 2;   ///< over-cap epochs before escalating
+constexpr double kActuatorCooldownS = 4.0;   ///< min seconds between ladder moves
+/// Relax when the epoch mean sits below cap * (1 - kRelaxMargin).
+constexpr double kRelaxMargin = 0.25;
 }  // namespace
 
 CapCoordinator::CapCoordinator(rtrm::ShardedCluster& cluster,
@@ -25,12 +29,6 @@ CapCoordinator::CapCoordinator(rtrm::ShardedCluster& cluster,
                   "CapCoordinator: guard_fraction must be in [0, 1)");
   ANTAREX_REQUIRE(cfg_.fairness_alpha >= 0.0,
                   "CapCoordinator: negative fairness_alpha");
-  ANTAREX_REQUIRE(cfg_.actuator_patience_epochs >= 1,
-                  "CapCoordinator: patience must be >= 1");
-  ANTAREX_REQUIRE(cfg_.actuator_cooldown_s >= 0.0,
-                  "CapCoordinator: negative cooldown");
-  ANTAREX_REQUIRE(cfg_.relax_margin > 0.0 && cfg_.relax_margin < 1.0,
-                  "CapCoordinator: relax_margin must be in (0, 1)");
 }
 
 void CapCoordinator::add_actuator(std::shared_ptr<Actuator> actuator) {
@@ -188,10 +186,10 @@ void CapCoordinator::close_epoch(double now_s) {
   renegotiate();
 
   // Escalation ladder: budgets failing to keep the mean under the effective
-  // cap for `patience` consecutive epochs means the plant needs a coarser
+  // cap for kActuatorPatienceEpochs consecutive epochs means the plant needs a coarser
   // knob. Ample headroom walks back in reverse order.
   const double eff_cap = cfg_.cluster_cap_w * (1.0 - cfg_.guard_fraction);
-  const double relax_at = cfg_.cluster_cap_w * (1.0 - cfg_.relax_margin);
+  const double relax_at = cfg_.cluster_cap_w * (1.0 - kRelaxMargin);
   if (mean_w > eff_cap) {
     ++over_streak_;
     under_streak_ = 0;
@@ -201,8 +199,8 @@ void CapCoordinator::close_epoch(double now_s) {
   } else {
     over_streak_ = under_streak_ = 0;
   }
-  const bool cooled = now_s - last_actuation_s_ >= cfg_.actuator_cooldown_s;
-  if (over_streak_ >= cfg_.actuator_patience_epochs && cooled) {
+  const bool cooled = now_s - last_actuation_s_ >= kActuatorCooldownS;
+  if (over_streak_ >= kActuatorPatienceEpochs && cooled) {
     for (auto& a : actuators_)
       if (a->restrict()) {
         ++stats_.restricts;
@@ -214,7 +212,7 @@ void CapCoordinator::close_epoch(double now_s) {
         over_streak_ = 0;
         break;
       }
-  } else if (under_streak_ >= cfg_.actuator_patience_epochs && cooled) {
+  } else if (under_streak_ >= kActuatorPatienceEpochs && cooled) {
     for (auto it = actuators_.rbegin(); it != actuators_.rend(); ++it)
       if ((*it)->relax()) {
         ++stats_.relaxes;

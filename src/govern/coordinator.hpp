@@ -26,9 +26,10 @@
 //    controllers' victim order, so high-priority work is clamped last. With
 //    control_period_s == dt_s this yields zero violations by construction.
 //  - When budgets alone leave the cluster over the effective cap for
-//    `actuator_patience_epochs` in a row, it walks an escalation ladder of
-//    Actuators (DVFS step-down, nav admission) one notch per cooldown; ample
-//    headroom walks the ladder back in reverse.
+//    kActuatorPatienceEpochs in a row, it walks an escalation ladder of
+//    Actuators (DVFS step-down, nav admission) one notch per
+//    kActuatorCooldownS; an epoch mean below cap * (1 - kRelaxMargin) walks
+//    the ladder back in reverse (constants in coordinator.cpp).
 //
 // Per-job energy attribution is not the coordinator's job: attach a
 // JobEnergyLedger (job_ledger.hpp) where it is read.
@@ -59,10 +60,6 @@ struct CapCoordinatorConfig {
   double fairness_alpha = 1.0;
   /// Weight node shares and device victim order by running jobs' priority.
   bool use_priority = true;
-  int actuator_patience_epochs = 2;   ///< over-cap epochs before escalating
-  double actuator_cooldown_s = 4.0;   ///< min seconds between ladder moves
-  /// Relax when the epoch mean sits below cap * (1 - relax_margin).
-  double relax_margin = 0.25;
 };
 
 struct CapStats {

@@ -66,25 +66,32 @@ void RetentionRing::clear() {
 // --- ShardAggregator --------------------------------------------------------
 
 namespace {
-double metric_hi(const AggregatorConfig& cfg, Metric m) {
+constexpr std::size_t kSketchBins = 64;
+constexpr std::size_t kRingCapacity = 128;
+constexpr std::size_t kTopK = 16;
+/// Sketch value ranges per metric (clamped beyond them).
+constexpr double kPowerHiW = 1000.0;
+constexpr double kTempHiC = 150.0;
+constexpr double kProgressHiUps = 50.0;
+
+double metric_hi(Metric m) {
   switch (m) {
-    case Metric::PowerW: return cfg.power_hi_w;
-    case Metric::TempC: return cfg.temp_hi_c;
+    case Metric::PowerW: return kPowerHiW;
+    case Metric::TempC: return kTempHiC;
     case Metric::Utilization: return 1.0;
-    default: return cfg.progress_hi_ups;
+    default: return kProgressHiUps;
   }
 }
 }  // namespace
 
-ShardAggregator::ShardAggregator(std::size_t shards, AggregatorConfig cfg)
-    : shards_(shards), cfg_(cfg), hot_nodes_(cfg.top_k) {
+ShardAggregator::ShardAggregator(std::size_t shards)
+    : shards_(shards), hot_nodes_(kTopK) {
   ANTAREX_REQUIRE(shards > 0, "ShardAggregator: need at least one shard");
   cells_.reserve(shards_ * kMetricCount);
   for (std::size_t s = 0; s < shards_; ++s)
     for (std::size_t m = 0; m < kMetricCount; ++m)
-      cells_.emplace_back(0.0, metric_hi(cfg_, static_cast<Metric>(m)),
-                          cfg_.sketch_bins);
-  rings_.resize(kMetricCount, RetentionRing(cfg_.ring_capacity));
+      cells_.emplace_back(0.0, metric_hi(static_cast<Metric>(m)), kSketchBins);
+  rings_.resize(kMetricCount, RetentionRing(kRingCapacity));
   step_.resize(kMetricCount);
 }
 
@@ -132,7 +139,7 @@ StreamStat ShardAggregator::cluster_stat(Metric m) const {
 }
 
 double ShardAggregator::cluster_quantile(Metric m, double q) const {
-  Histogram merged(0.0, metric_hi(cfg_, m), cfg_.sketch_bins);
+  Histogram merged(0.0, metric_hi(m), kSketchBins);
   for (std::size_t s = 0; s < shards_; ++s) merged.merge(cell(s, m).sketch);
   return merged.approx_quantile(q);
 }

@@ -1,12 +1,12 @@
 // antarex::monitor — bounded-memory streaming aggregation.
 //
 // The site-level half of the Examon model: node samples fan into per-shard
-// aggregates whose footprint is a function of configuration, never of node
-// count. Three pieces compose:
+// aggregates whose footprint is a function of the shard count, never of
+// node count. Three pieces compose:
 //
 //   StreamStat      count/sum/min/max over one (shard, metric) stream
 //   Histogram       the shared fixed-bin histogram (support/stats) as the
-//                   quantile sketch over a configured value range;
+//                   quantile sketch over a fixed per-metric range;
 //                   approx_quantile() interpolates inside the bin, so the
 //                   error is bounded by one bin width
 //   RetentionRing   RRD-style multi-resolution history: three rings at 1x,
@@ -114,23 +114,12 @@ class RetentionRing {
   u64 pushes_ = 0;
 };
 
-struct AggregatorConfig {
-  std::size_t sketch_bins = 64;
-  std::size_t ring_capacity = 128;
-  std::size_t top_k = 16;
-  /// Sketch value ranges per metric (clamped beyond them).
-  double power_hi_w = 1000.0;
-  double temp_hi_c = 150.0;
-  double progress_hi_ups = 50.0;
-};
-
 /// Per-shard + cluster-level rollup of every frame the broker delivers.
 class ShardAggregator {
  public:
-  ShardAggregator(std::size_t shards, AggregatorConfig cfg = {});
+  explicit ShardAggregator(std::size_t shards);
 
   std::size_t shards() const { return shards_; }
-  const AggregatorConfig& config() const { return cfg_; }
 
   /// Ingest one frame (subscribed to the broker's `#`).
   void ingest(const MetricFrame& frame);
@@ -165,7 +154,6 @@ class ShardAggregator {
   }
 
   std::size_t shards_;
-  AggregatorConfig cfg_;
   std::vector<Cell> cells_;  ///< shards * kMetricCount
   std::vector<RetentionRing> rings_;  ///< one per metric, cluster scope
   std::vector<StreamStat> step_;      ///< per-metric stats of the open step

@@ -19,24 +19,24 @@ const char* anomaly_kind_name(AnomalyKind k) {
 }
 
 AnomalyDetector::AnomalyDetector(std::size_t shards, DetectorConfig cfg)
-    : shards_(shards), cfg_(cfg) {
+    : shards_(shards), max_tracked_(cfg.max_tracked) {
   ANTAREX_REQUIRE(shards > 0, "AnomalyDetector: need at least one shard");
-  ANTAREX_REQUIRE(cfg_.max_tracked > 0, "AnomalyDetector: max_tracked == 0");
+  ANTAREX_REQUIRE(max_tracked_ > 0, "AnomalyDetector: max_tracked == 0");
   baselines_.resize(shards_ * kMetricCount);
 }
 
 double AnomalyDetector::scale_for(const Baseline& b, Metric m) const {
-  double abs_floor = cfg_.abs_floor_progress;
+  double abs_floor = kAbsFloorProgress;
   switch (m) {
-    case Metric::PowerW: abs_floor = cfg_.abs_floor_power_w; break;
-    case Metric::TempC: abs_floor = cfg_.abs_floor_temp_c; break;
+    case Metric::PowerW: abs_floor = kAbsFloorPowerW; break;
+    case Metric::TempC: abs_floor = kAbsFloorTempC; break;
     default: break;
   }
-  return std::max({1.4826 * b.mad, cfg_.rel_floor * std::abs(b.m), abs_floor});
+  return std::max({1.4826 * b.mad, kRelFloor * std::abs(b.m), abs_floor});
 }
 
 double AnomalyDetector::z_for(const Baseline& b, Metric m, double x) const {
-  if (b.n < cfg_.warmup_samples) return 0.0;
+  if (b.n < kWarmupSamples) return 0.0;
   return (x - b.m) / scale_for(b, m);
 }
 
@@ -46,18 +46,18 @@ void AnomalyDetector::update_baseline(Baseline& b, Metric m, double x) {
     b.mad = 0.0;
   } else {
     // Winsorize: a wild sample may pull the level by at most
-    // alpha * clip_z * scale per step, not alpha * (x - m).
-    const double lim = cfg_.clip_z * scale_for(b, m);
+    // kEwmaAlpha * kClipZ * scale per step, not kEwmaAlpha * (x - m).
+    const double lim = kClipZ * scale_for(b, m);
     const double v = std::clamp(x, b.m - lim, b.m + lim);
-    b.m += cfg_.ewma_alpha * (v - b.m);
-    b.mad += cfg_.mad_beta * (std::abs(v - b.m) - b.mad);
+    b.m += kEwmaAlpha * (v - b.m);
+    b.mad += kMadBeta * (std::abs(v - b.m) - b.mad);
   }
   ++b.n;
 }
 
 void AnomalyDetector::observe(const MetricFrame& frame) {
   ANTAREX_REQUIRE(frame.shard < shards_, "AnomalyDetector: shard out of range");
-  const bool busy = frame.util >= static_cast<float>(cfg_.min_util);
+  const bool busy = frame.util >= static_cast<float>(kMinUtil);
 
   bool flags[kAnomalyKindCount] = {false, false, false, false};
   double zs[kAnomalyKindCount] = {0.0, 0.0, 0.0, 0.0};
@@ -70,17 +70,17 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
     const double zt = z_for(bt, Metric::TempC, frame.temp_c);
     const double zg = z_for(bg, Metric::ProgressUps, frame.progress_ups);
 
-    if (zt > cfg_.z_open) {
+    if (zt > kZOpen) {
       flags[static_cast<std::size_t>(AnomalyKind::ThermalRunaway)] = true;
       zs[static_cast<std::size_t>(AnomalyKind::ThermalRunaway)] = zt;
     }
-    if (zp > cfg_.z_open) {
+    if (zp > kZOpen) {
       flags[static_cast<std::size_t>(AnomalyKind::PowerSpike)] = true;
       zs[static_cast<std::size_t>(AnomalyKind::PowerSpike)] = zp;
     }
-    if (-zg > cfg_.z_open) {
+    if (-zg > kZOpen) {
       // Progress fell off the shard baseline; the power signature says how.
-      const auto kind = zp < -cfg_.power_drop_z ? AnomalyKind::Throttle
+      const auto kind = zp < -kPowerDropZ ? AnomalyKind::Throttle
                                                 : AnomalyKind::SlowNode;
       flags[static_cast<std::size_t>(kind)] = true;
       zs[static_cast<std::size_t>(kind)] = -zg;
@@ -103,7 +103,7 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
   auto it = tracked_.find(frame.node);
   if (it == tracked_.end()) {
     if (!any) return;  // healthy untracked node: nothing to do
-    if (tracked_.size() >= cfg_.max_tracked) {
+    if (tracked_.size() >= max_tracked_) {
       ++tracked_overflow_;
       TELEMETRY_COUNT("monitor.detector.tracked_overflow", 1);
       return;
@@ -130,8 +130,8 @@ void AnomalyDetector::step_kind(NodeTrack& track, AnomalyKind kind,
     ++ks.run;
     ks.quiet = 0;
     const u32 open_after = kind == AnomalyKind::PowerSpike
-                               ? cfg_.spike_open_after
-                               : cfg_.open_after;
+                               ? kSpikeOpenAfter
+                               : kOpenAfter;
     if (!ks.open && ks.run >= open_after) open_episode(ks, kind, z, frame);
     if (ks.open) {
       ks.episode.peak_z = std::max(ks.episode.peak_z, z);
@@ -141,7 +141,7 @@ void AnomalyDetector::step_kind(NodeTrack& track, AnomalyKind kind,
     return;
   }
   ks.run = 0;
-  if (ks.open && ++ks.quiet >= cfg_.quiet_close) close_episode(ks, frame.t_s);
+  if (ks.open && ++ks.quiet >= kQuietClose) close_episode(ks, frame.t_s);
 }
 
 void AnomalyDetector::open_episode(KindState& ks, AnomalyKind kind, double z,
@@ -185,7 +185,7 @@ void AnomalyDetector::close_episode(KindState& ks, double t_s) {
     ks.ledger_seq = 0;
   }
   if (hook_) hook_(ks.episode, false);
-  if (closed_.size() >= cfg_.max_closed) {
+  if (closed_.size() >= kMaxClosed) {
     ++closed_overflow_;
     TELEMETRY_COUNT("monitor.detector.closed_overflow", 1);
     return;

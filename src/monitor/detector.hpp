@@ -3,12 +3,12 @@
 // Per-(shard, metric) robust baselines: an EWMA of the level and an
 // exponentially-weighted MAD of the deviation. A sample's z-score is
 //
-//   z = (x - ewma) / max(1.4826 * mad, rel_floor * |ewma|, abs_floor)
+//   z = (x - ewma) / max(1.4826 * mad, kRelFloor * |ewma|, kAbsFloor*)
 //
 // (1.4826 scales MAD to a standard deviation under normality; the floors
 // keep z finite on quiet streams). Baselines learn only from unflagged busy
 // samples, so an anomaly cannot teach the detector that it is normal. Taught
-// samples are additionally winsorized to m +- clip_z scale units: during the
+// samples are additionally winsorized to m +- kClipZ scale units: during the
 // warmup window z-flags cannot veto yet, and one wild sample (a RAPL counter
 // wrap, say) must not be allowed to poison the level and MAD for the tens of
 // samples an EWMA needs to forget it.
@@ -23,14 +23,15 @@
 //   SlowNode        progress drop at normal power (same work rate per busy
 //                   second, just slower — e.g. a degraded node)
 //
-// Hysteresis turns per-sample flags into episodes: open after `open_after`
+// Hysteresis turns per-sample flags into episodes: open after kOpenAfter
 // consecutive flagged samples (1 for PowerSpike — glitches are one sample),
-// close after `quiet_close` consecutive quiet ones. Idle nodes (util below
-// min_util) are never judged; their samples count as quiet.
+// close after kQuietClose consecutive quiet ones. Idle nodes (util below
+// kMinUtil) are never judged; their samples count as quiet.
 //
 // Memory: baselines are O(shards * metrics); per-node state exists only for
-// currently-flagged nodes, capped at max_tracked (overflow counted). Closed
-// episodes are retained up to max_closed for ground-truth evaluation.
+// currently-flagged nodes, capped at DetectorConfig::max_tracked (overflow
+// counted). Closed episodes are retained up to kMaxClosed for ground-truth
+// evaluation. The tuning values are the AnomalyDetector::k* constants.
 #pragma once
 
 #include <functional>
@@ -47,22 +48,7 @@ constexpr std::size_t kAnomalyKindCount = 4;
 const char* anomaly_kind_name(AnomalyKind k);
 
 struct DetectorConfig {
-  double z_open = 4.0;        ///< |z| that flags a sample
-  double power_drop_z = 2.0;  ///< power z below -this => Throttle, else Slow
-  u32 open_after = 2;         ///< consecutive flags to open an episode
-  u32 spike_open_after = 1;   ///< PowerSpike opens immediately (one-sample)
-  u32 quiet_close = 3;        ///< consecutive quiet samples to close
-  u64 warmup_samples = 8;     ///< baseline samples before judging a stream
-  double min_util = 0.5;      ///< only judge nodes at least this busy
-  double ewma_alpha = 0.05;
-  double mad_beta = 0.05;
-  double rel_floor = 0.04;    ///< scale floor as a fraction of the level
-  double clip_z = 8.0;        ///< winsorize taught samples at this many scales
-  double abs_floor_power_w = 2.0;
-  double abs_floor_temp_c = 1.5;
-  double abs_floor_progress = 0.02;
   std::size_t max_tracked = 1024;  ///< concurrently tracked flagged nodes
-  std::size_t max_closed = 65536;  ///< retained closed episodes
 };
 
 /// One contiguous anomaly on one node.
@@ -83,9 +69,34 @@ class AnomalyDetector {
   /// opens, opened=false right after it closes. Runs on the sim thread.
   using Hook = std::function<void(const Episode&, bool opened)>;
 
+  /// |z| that flags a sample.
+  static constexpr double kZOpen = 4.0;
+  /// Power z below -this => Throttle, else SlowNode.
+  static constexpr double kPowerDropZ = 2.0;
+  /// Consecutive flags to open an episode.
+  static constexpr u32 kOpenAfter = 2;
+  /// PowerSpike opens immediately (one-sample).
+  static constexpr u32 kSpikeOpenAfter = 1;
+  /// Consecutive quiet samples to close.
+  static constexpr u32 kQuietClose = 3;
+  /// Baseline samples before judging a stream.
+  static constexpr u64 kWarmupSamples = 8;
+  /// Only judge nodes at least this busy.
+  static constexpr double kMinUtil = 0.5;
+  static constexpr double kEwmaAlpha = 0.05;
+  static constexpr double kMadBeta = 0.05;
+  /// Scale floor as a fraction of the level.
+  static constexpr double kRelFloor = 0.04;
+  /// Winsorize taught samples at this many scales.
+  static constexpr double kClipZ = 8.0;
+  static constexpr double kAbsFloorPowerW = 2.0;
+  static constexpr double kAbsFloorTempC = 1.5;
+  static constexpr double kAbsFloorProgress = 0.02;
+  /// Retained closed episodes.
+  static constexpr std::size_t kMaxClosed = 65536;
+
   AnomalyDetector(std::size_t shards, DetectorConfig cfg = {});
 
-  const DetectorConfig& config() const { return cfg_; }
   void set_hook(Hook hook) { hook_ = std::move(hook); }
 
   /// Ingest one frame (subscribe to the broker's `#`).
@@ -134,7 +145,7 @@ class AnomalyDetector {
   void close_episode(KindState& ks, double t_s);
 
   std::size_t shards_;
-  DetectorConfig cfg_;
+  std::size_t max_tracked_;
   Hook hook_;
   std::vector<Baseline> baselines_;  ///< shards * metrics
   std::map<u32, NodeTrack> tracked_;

@@ -6,9 +6,14 @@
 #include <utility>
 #include <vector>
 
+#include "monitor/fabric.hpp"
+
 namespace antarex::monitor {
 
 namespace {
+
+constexpr u32 kMinSamples = 3;       ///< sampling instants inside a qualifying GT
+constexpr double kMatchSlackS = 3.0;  ///< overlap grace (hysteresis + cadence lag)
 
 /// Closed-interval overlap with symmetric slack.
 bool overlaps(double a1, double a2, double b1, double b2, double slack) {
@@ -28,8 +33,6 @@ u64 samples_inside(double a, double b, double period) {
 std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
                                              const EvalConfig& cfg) {
   ANTAREX_REQUIRE(cfg.horizon_s > 0.0, "monitor::ground_truth: horizon not set");
-  ANTAREX_REQUIRE(cfg.sample_period_s > 0.0,
-                  "monitor::ground_truth: sample period must be positive");
   std::vector<GroundTruthEpisode> out;
   std::map<u32, double> open_slow;                  // node -> start
   std::map<std::pair<u32, u32>, double> open_glitch;  // (node, dev) -> start
@@ -76,9 +79,9 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
 
   for (GroundTruthEpisode& g : out) {
     g.qualifies =
-        g.start_s >= cfg.warmup_end_s &&
+        g.start_s >= kWarmupEndS &&
         samples_inside(g.start_s, std::min(g.end_s, cfg.horizon_s),
-                       cfg.sample_period_s) >= cfg.min_samples;
+                       MonitorFabric::kSamplePeriodS) >= kMinSamples;
   }
   std::sort(out.begin(), out.end(),
             [](const GroundTruthEpisode& a, const GroundTruthEpisode& b) {
@@ -89,10 +92,9 @@ std::vector<GroundTruthEpisode> ground_truth(const fault::FaultSchedule& sched,
 }
 
 EvalResult evaluate(const std::vector<GroundTruthEpisode>& truth,
-                    const std::vector<Episode>& detections,
-                    const EvalConfig& cfg) {
+                    const std::vector<Episode>& detections) {
   EvalResult result;
-  const double slack = cfg.match_slack_s;
+  const double slack = kMatchSlackS;
 
   for (const GroundTruthEpisode& g : truth) {
     KindScore& score = result.kinds[static_cast<std::size_t>(g.kind)];

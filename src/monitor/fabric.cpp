@@ -14,13 +14,8 @@
 namespace antarex::monitor {
 
 MonitorFabric::MonitorFabric(FabricConfig cfg)
-    : cfg_(cfg),
-      broker_(cfg.shards, cfg.broker),
-      aggregator_(cfg.shards, cfg.aggregator),
-      detector_(cfg.shards, cfg.detector) {
+    : cfg_(cfg), broker_(cfg.shards), aggregator_(cfg.shards), detector_(cfg.shards) {
   ANTAREX_REQUIRE(cfg_.shards > 0, "MonitorFabric: need at least one shard");
-  ANTAREX_REQUIRE(cfg_.sample_period_s > 0.0,
-                  "MonitorFabric: sample period must be positive");
   detector_.set_hook([this](const Episode& e, bool opened) {
     for (const EpisodeListener& fn : listeners_) fn(e, opened);
   });
@@ -62,7 +57,7 @@ void MonitorFabric::on_step(rtrm::ShardedCluster& plant, double now_s) {
     sample(plant, now_s, now_s - last_sample_s_);
   }
   last_sample_s_ = now_s;
-  while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += cfg_.sample_period_s;
+  while (next_sample_s_ <= now_s + 1e-9) next_sample_s_ += kSamplePeriodS;
 
   self_s_ +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -213,15 +208,15 @@ void feed_governance(MonitorFabric& fabric, govern::CapCoordinator& coordinator,
       });
 }
 
-void install_anomaly_policies(obs::PolicyEngine& engine,
-                              AnomalyPolicyConfig config) {
+void install_anomaly_policies(obs::PolicyEngine& engine) {
+  constexpr double kActiveAlert = 1.0;  ///< monitor.anomaly_active >= this fires
+  constexpr double kCooldownS = 5.0;
   obs::PolicyOptions opts;
-  opts.cooldown_s = config.cooldown_s;
+  opts.cooldown_s = kCooldownS;
   engine.add(
       "monitor.anomaly_alert",
-      [config](const obs::PolicyContext& ctx) {
-        return ctx.registry->gauge("monitor.anomaly_active").last() >=
-               config.active_alert;
+      [](const obs::PolicyContext& ctx) {
+        return ctx.registry->gauge("monitor.anomaly_active").last() >= kActiveAlert;
       },
       [](const obs::PolicyContext& ctx) {
         ctx.registry->counter("obs.alerts.anomaly").inc();

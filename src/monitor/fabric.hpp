@@ -6,7 +6,7 @@
 //   Sampler ──frames──▶ Broker ──drain──▶ ShardAggregator
 //                                    └──▶ AnomalyDetector ──episodes──▶ hooks
 //
-// attach() installs one step observer, the sampler. Every sample_period_s of
+// attach() installs one step observer, the sampler. Every kSamplePeriodS of
 // simulated time it samples all alive nodes — power from RAPL counter
 // *deltas* (what a real out-of-band sampler reads, glitches included),
 // hottest-device temperature, utilization, and the observable progress
@@ -51,16 +51,15 @@ class ShardedCluster;
 namespace antarex::monitor {
 
 struct FabricConfig {
-  u16 shards = 8;               ///< topic shards (node -> node % shards)
-  double sample_period_s = 1.0; ///< min simulated seconds between samples
-  BrokerConfig broker;
-  AggregatorConfig aggregator;
-  DetectorConfig detector;
+  u16 shards = 8;  ///< topic shards (node -> node % shards)
 };
 
 class MonitorFabric {
  public:
   using EpisodeListener = std::function<void(const Episode&, bool opened)>;
+
+  /// Min simulated seconds between samples.
+  static constexpr double kSamplePeriodS = 1.0;
 
   explicit MonitorFabric(FabricConfig cfg = {});
 
@@ -131,16 +130,10 @@ class MonitorFabric {
 void feed_governance(MonitorFabric& fabric, govern::CapCoordinator& coordinator,
                      double penalty = 0.25);
 
-/// Thresholds for the monitor-driven obs policies.
-struct AnomalyPolicyConfig {
-  double active_alert = 1.0;   ///< monitor.anomaly_active >= this fires
-  double cooldown_s = 5.0;
-};
-
 /// Install monitor policies on `engine`:
-///  - monitor.anomaly_alert  (counts obs.alerts.anomaly while any episode is
-///    open, re-firing every cooldown_s)
-void install_anomaly_policies(obs::PolicyEngine& engine,
-                              AnomalyPolicyConfig config = {});
+///  - monitor.anomaly_alert  (counts obs.alerts.anomaly while
+///    monitor.anomaly_active >= 1, i.e. while any episode is open,
+///    re-firing every 5 s)
+void install_anomaly_policies(obs::PolicyEngine& engine);
 
 }  // namespace antarex::monitor

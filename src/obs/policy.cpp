@@ -218,14 +218,22 @@ std::vector<std::string> PolicyEngine::names() const {
   return out;
 }
 
-void install_builtin_policies(PolicyEngine& engine, BuiltinPolicyConfig cfg) {
+void install_builtin_policies(PolicyEngine& engine) {
+  /// Fire thermal.throttle_alert when the RTRM's published thermal headroom
+  /// (rtrm.thermal_headroom_c gauge: t_crit - hottest device) shrinks below
+  /// this many degrees.
+  constexpr double kThermalHeadroomAlertC = 8.0;
+  /// Fire nav.backpressure when the nav server's queue-depth gauge reaches
+  /// this; the obs gauge nav.backpressure is raised to 1 until it clears.
+  constexpr double kNavQueueDepthLimit = 48.0;
+
   // Throttle alert: the RTRM control loop publishes how close the hottest
   // device sits to the critical temperature; alert when headroom shrinks.
   engine.add(
       "thermal.throttle_alert",
-      [threshold = cfg.thermal_headroom_alert_c](const PolicyContext& ctx) {
+      [](const PolicyContext& ctx) {
         const telemetry::Gauge& g = ctx.registry->gauge("rtrm.thermal_headroom_c");
-        return g.updates() > 0 && g.last() < threshold;
+        return g.updates() > 0 && g.last() < kThermalHeadroomAlertC;
       },
       [](const PolicyContext&) { TELEMETRY_COUNT("obs.alerts.thermal", 1); });
 
@@ -246,9 +254,9 @@ void install_builtin_policies(PolicyEngine& engine, BuiltinPolicyConfig cfg) {
   // server's admission queue sits at/above the limit, drop it when it clears.
   engine.add(
       "nav.backpressure",
-      [limit = cfg.nav_queue_depth_limit](const PolicyContext& ctx) {
+      [](const PolicyContext& ctx) {
         const telemetry::Gauge& g = ctx.registry->gauge("nav.queue_depth");
-        return g.updates() > 0 && g.last() >= limit;
+        return g.updates() > 0 && g.last() >= kNavQueueDepthLimit;
       },
       [](const PolicyContext&) {
         TELEMETRY_COUNT("obs.alerts.backpressure", 1);

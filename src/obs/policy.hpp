@@ -141,24 +141,12 @@ class PolicyEngine {
   u64 evaluations_ = 0;
 };
 
-/// Thresholds for the built-in policies wired into the stack.
-struct BuiltinPolicyConfig {
-  /// Fire thermal.throttle_alert when the RTRM's published thermal headroom
-  /// (rtrm.thermal_headroom_c gauge: t_crit - hottest device) shrinks below
-  /// this many degrees.
-  double thermal_headroom_alert_c = 8.0;
-  /// Fire nav.backpressure when the nav server's queue-depth gauge reaches
-  /// this; the obs gauge nav.backpressure is raised to 1 until it clears.
-  double nav_queue_depth_limit = 48.0;
-};
-
 /// Install the three built-in stack policies on `engine`:
 ///  - thermal.throttle_alert  (counts obs.alerts.thermal)
 ///  - tuner.phase_change      (counts obs.alerts.phase_change, one fire per
 ///                             tuner.phase_changes increment)
 ///  - nav.backpressure        (counts obs.alerts.backpressure, drives the
 ///                             nav.backpressure gauge 1/0)
-void install_builtin_policies(PolicyEngine& engine,
-                              BuiltinPolicyConfig config = {});
+void install_builtin_policies(PolicyEngine& engine);
 
 }  // namespace antarex::obs

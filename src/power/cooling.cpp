@@ -4,15 +4,10 @@
 
 namespace antarex::power {
 
-CoolingModel::CoolingModel(Params p) : p_(p) {
-  ANTAREX_REQUIRE(p_.cop_ref > 0.0 && p_.cop_min > 0.0 && p_.cop_slope >= 0.0,
-                  "CoolingModel: invalid parameters");
-}
-
 double CoolingModel::cop(double ambient_c) const {
   const double degraded =
-      p_.cop_ref - p_.cop_slope * std::max(0.0, ambient_c - p_.ambient_ref_c);
-  return std::max(p_.cop_min, degraded);
+      kCopRef - kCopSlope * std::max(0.0, ambient_c - kAmbientRefC);
+  return std::max(kCopMin, degraded);
 }
 
 double CoolingModel::cooling_power_w(double it_power_w, double ambient_c) const {
@@ -23,7 +18,7 @@ double CoolingModel::cooling_power_w(double it_power_w, double ambient_c) const 
 double CoolingModel::pue(double it_power_w, double ambient_c) const {
   if (it_power_w <= 0.0) return 1.0;
   const double total = it_power_w + cooling_power_w(it_power_w, ambient_c) +
-                       p_.fixed_overhead * it_power_w;
+                       kFixedOverhead * it_power_w;
   return total / it_power_w;
 }
 

@@ -16,27 +16,22 @@ namespace antarex::power {
 
 class CoolingModel {
  public:
-  struct Params {
-    double cop_ref = 6.0;        ///< chiller COP at ambient_ref
-    double ambient_ref_c = 5.0;  ///< reference (winter) outdoor temperature
-    double cop_slope = 0.10;     ///< COP lost per degree C above reference
-    double cop_min = 1.5;        ///< floor (chiller never better than this)
-    double fixed_overhead = 0.06;///< facility overhead as fraction of IT power
-  };
-
-  CoolingModel() : CoolingModel(Params{}) {}
-  explicit CoolingModel(Params p);
+  /// Chiller COP at kAmbientRefC.
+  static constexpr double kCopRef = 6.0;
+  /// Reference (winter) outdoor temperature.
+  static constexpr double kAmbientRefC = 5.0;
+  /// COP lost per degree C above reference.
+  static constexpr double kCopSlope = 0.10;
+  /// Floor (chiller never better than this).
+  static constexpr double kCopMin = 1.5;
+  /// Facility overhead as fraction of IT power.
+  static constexpr double kFixedOverhead = 0.06;
 
   double cop(double ambient_c) const;
   double cooling_power_w(double it_power_w, double ambient_c) const;
 
   /// Power Usage Effectiveness: (IT + cooling + overhead) / IT.
   double pue(double it_power_w, double ambient_c) const;
-
-  const Params& params() const { return p_; }
-
- private:
-  Params p_;
 };
 
 }  // namespace antarex::power

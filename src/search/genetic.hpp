@@ -25,15 +25,20 @@ namespace antarex::search {
 struct GeneticConfig {
   std::size_t population = 24;   ///< genomes per generation
   std::size_t elites = 2;        ///< best parents copied through unchanged
-  std::size_t tournament = 3;    ///< tournament size for parent selection
-  double crossover_rate = 0.9;   ///< else the better parent is cloned
-  double mutation_rate = 0.25;   ///< per-knob mutation probability
-  double step_bias = 0.7;        ///< neighbour-step vs uniform-reset mutation
   u64 seed = 0x5ea7c4;           ///< root of the per-(generation, slot) streams
 };
 
 class GeneticEngine {
  public:
+  /// Tournament size for parent selection.
+  static constexpr std::size_t kTournament = 3;
+  /// Crossover probability; otherwise the better parent is cloned.
+  static constexpr double kCrossoverRate = 0.9;
+  /// Per-knob mutation probability.
+  static constexpr double kMutationRate = 0.25;
+  /// Neighbour-step vs uniform-reset mutation.
+  static constexpr double kStepBias = 0.7;
+
   explicit GeneticEngine(GeneticConfig cfg = {});
 
   const GeneticConfig& config() const { return cfg_; }
@@ -55,8 +60,8 @@ class GeneticEngine {
                                  const tuner::Configuration& b,
                                  Rng& rng) const;
 
-  /// Domain-respecting mutation: per knob, with probability mutation_rate,
-  /// either step to a neighbouring candidate (probability step_bias) or
+  /// Domain-respecting mutation: per knob, with probability kMutationRate,
+  /// either step to a neighbouring candidate (probability kStepBias) or
   /// reset to a uniform candidate. A genome whose current index fell outside
   /// the candidate list (annotation added after seeding) snaps back in.
   tuner::Configuration mutate(const tuner::DesignSpace& space,

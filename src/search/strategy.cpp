@@ -7,6 +7,10 @@
 
 namespace antarex::search {
 
+namespace {
+constexpr std::size_t kModelScanCap = 8192;  ///< candidate scan bound for top_k
+}  // namespace
+
 SearchStrategy::SearchStrategy(SearchConfig cfg)
     : cfg_(cfg), engine_(cfg.genetic) {
   ANTAREX_REQUIRE(cfg_.bootstrap >= 2, "SearchStrategy: bootstrap < 2");
@@ -87,7 +91,7 @@ void SearchStrategy::seed_generation_zero(const tuner::DesignSpace& space,
   if (model_.fitted()) {
     for (const tuner::Configuration& c :
          model_.top_k(space, cfg_.model_top_k, minimize, cfg_.seed,
-                      cfg_.model_scan_cap))
+                      kModelScanCap))
       add(c);
   }
 

@@ -34,7 +34,6 @@ struct SearchConfig {
   GeneticConfig genetic;
   std::size_t bootstrap = 16;      ///< random probes before the model is fit
   std::size_t model_top_k = 12;    ///< model-seeded share of generation 0
-  std::size_t model_scan_cap = 8192;  ///< candidate scan bound for top_k
   u64 seed = 0x5ea7c4;
 };
 

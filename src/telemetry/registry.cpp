@@ -41,8 +41,11 @@ void Histogram::reset() {
 
 // --- Series -----------------------------------------------------------------
 
-Series::Series(std::size_t window, double ewma_alpha)
-    : window_(window), ewma_(ewma_alpha) {}
+namespace {
+constexpr double kEwmaAlpha = 0.25;  ///< weight of the newest sample in ewma()
+}  // namespace
+
+Series::Series(std::size_t window) : window_(window), ewma_(kEwmaAlpha) {}
 
 void Series::push(double sample) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -2,8 +2,13 @@
 
 namespace antarex::tuner {
 
-RlsModel::RlsModel(std::size_t dims, double lambda, double delta)
-    : dims_(dims), lambda_(lambda), delta_(delta) {
+namespace {
+/// Initial diagonal of the inverse covariance: large = a weak prior, so the
+/// first samples move the weights freely.
+constexpr double kDelta = 100.0;
+}  // namespace
+
+RlsModel::RlsModel(std::size_t dims, double lambda) : dims_(dims), lambda_(lambda) {
   ANTAREX_REQUIRE(dims_ > 0, "RlsModel: need at least one feature");
   ANTAREX_REQUIRE(lambda_ > 0.0 && lambda_ <= 1.0,
                   "RlsModel: lambda must be in (0, 1]");
@@ -14,7 +19,7 @@ void RlsModel::reset() {
   const std::size_t n = dims_ + 1;
   w_.assign(n, 0.0);
   p_.assign(n, std::vector<double>(n, 0.0));
-  for (std::size_t i = 0; i < n; ++i) p_[i][i] = delta_;
+  for (std::size_t i = 0; i < n; ++i) p_[i][i] = kDelta;
   updates_ = 0;
 }
 

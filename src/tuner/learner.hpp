@@ -15,7 +15,7 @@ class RlsModel {
  public:
   /// dims: number of input features (a bias term is added internally).
   /// lambda: forgetting factor in (0, 1]; smaller forgets faster.
-  explicit RlsModel(std::size_t dims, double lambda = 0.99, double delta = 100.0);
+  explicit RlsModel(std::size_t dims, double lambda = 0.99);
 
   void update(const std::vector<double>& x, double y);
   double predict(const std::vector<double>& x) const;
@@ -30,7 +30,6 @@ class RlsModel {
 
   std::size_t dims_;
   double lambda_;
-  double delta_;
   std::vector<double> w_;               ///< dims+1 weights (bias last)
   std::vector<std::vector<double>> p_;  ///< inverse covariance
   std::size_t updates_ = 0;

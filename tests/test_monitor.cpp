@@ -311,14 +311,14 @@ TEST(Detector, PowerSpikeOpensInOneSampleAndClosesAfterQuiet) {
   ASSERT_EQ(det.episodes().size(), 1u);
   EXPECT_EQ(det.episodes()[0].kind, AnomalyKind::PowerSpike);
   EXPECT_TRUE(det.episodes()[0].open);
-  for (int i = 0; i < 3; ++i)  // quiet_close = 3
+  for (int i = 0; i < 3; ++i)  // kQuietClose = 3
     det.observe(make_frame(t++, 0, 0, kP, kT, 1.0f, kG));
   EXPECT_EQ(det.active(), 0u);
   ASSERT_EQ(det.closed().size(), 1u);
   const Episode& e = det.closed()[0];
   EXPECT_EQ(e.node, 0u);
   EXPECT_FALSE(e.open);
-  EXPECT_GT(e.peak_z, det.config().z_open);
+  EXPECT_GT(e.peak_z, AnomalyDetector::kZOpen);
   EXPECT_DOUBLE_EQ(e.open_t_s, e.close_t_s);  // one-sample anomaly
 }
 
@@ -328,7 +328,7 @@ TEST(Detector, PowerSignatureSplitsThrottleFromSlowNode) {
   warm_up(det, &t);
   // Node 1: progress collapse with a matching power drop -> Throttle.
   // Node 2: same collapse at normal power -> SlowNode.
-  for (int i = 0; i < 2; ++i) {  // open_after = 2
+  for (int i = 0; i < 2; ++i) {  // kOpenAfter = 2
     det.observe(make_frame(t, 1, 0, 55.0f, kT, 1.0f, 0.3f));
     det.observe(make_frame(t, 2, 0, kP, kT, 1.0f, 0.3f));
     t += 1.0;
@@ -358,7 +358,7 @@ TEST(Detector, IdleSamplesAreNeverJudgedAndCountAsQuiet) {
   // An idle node with absurd readings is not an anomaly.
   det.observe(make_frame(t++, 4, 0, 600.0f, 95.0f, 0.0f, 0.0f));
   EXPECT_TRUE(det.episodes().empty());
-  // An open episode closes when the node goes idle for quiet_close samples.
+  // An open episode closes when the node goes idle for kQuietClose samples.
   det.observe(make_frame(t++, 5, 0, 600.0f, kT, 1.0f, kG));
   EXPECT_EQ(det.active(), 1u);
   for (int i = 0; i < 3; ++i)
@@ -438,7 +438,7 @@ TEST(Eval, GroundTruthLabelsAndQualification) {
 
   // Sorted by start: glitch(15), throttle(20), slow(30), slow(48).
   EXPECT_EQ(gt[0].kind, AnomalyKind::PowerSpike);
-  EXPECT_FALSE(gt[0].qualifies);  // 2 samples inside < min_samples
+  EXPECT_FALSE(gt[0].qualifies);  // 2 samples inside < the 3 required
   EXPECT_EQ(gt[1].kind, AnomalyKind::Throttle);
   EXPECT_EQ(gt[1].node, 1u);
   EXPECT_DOUBLE_EQ(gt[1].end_s, 26.0);
@@ -470,9 +470,7 @@ TEST(Eval, PrecisionAndRecallScoring) {
       detection(2, AnomalyKind::SlowNode, 41.0, 44.0),   // TP via slack
       detection(9, AnomalyKind::SlowNode, 5.0, 6.0),     // false positive
   };
-  EvalConfig cfg;
-  cfg.horizon_s = 50.0;
-  const EvalResult r = evaluate(truth, detections, cfg);
+  const EvalResult r = evaluate(truth, detections);
 
   const KindScore& throttle = r.of(AnomalyKind::Throttle);
   EXPECT_EQ(throttle.detected, 1u);
@@ -506,9 +504,7 @@ TEST(Eval, CrossKindMatchOnlyWhereSignaturesGenuinelyBlend) {
       detection(1, AnomalyKind::Throttle, 21.0, 29.0),
       detection(2, AnomalyKind::Throttle, 21.0, 29.0),
   };
-  EvalConfig cfg;
-  cfg.horizon_s = 50.0;
-  const EvalResult r = evaluate(truth, detections, cfg);
+  const EvalResult r = evaluate(truth, detections);
   EXPECT_EQ(r.of(AnomalyKind::Throttle).detected, 2u);
   EXPECT_EQ(r.of(AnomalyKind::Throttle).true_positives, 1u);
   EXPECT_EQ(r.of(AnomalyKind::SlowNode).gt_matched, 1u);  // node 2's, via blend
@@ -576,7 +572,7 @@ std::string run_monitored(int threads, double horizon_s,
   EvalConfig ecfg;
   ecfg.horizon_s = horizon_s;
   const auto gt = ground_truth(injector.schedule(), ecfg);
-  const EvalResult r = evaluate(gt, fabric.detector().episodes(), ecfg);
+  const EvalResult r = evaluate(gt, fabric.detector().episodes());
   std::string digest;
   for (std::size_t k = 0; k < kAnomalyKindCount; ++k)
     digest += format("%s p=%.3f r=%.3f d=%llu\n",
@@ -608,7 +604,7 @@ TEST(Fabric, DetectsInjectedFaultsWithCleanPrecision) {
   EvalConfig ecfg;
   ecfg.horizon_s = 60.0;
   const auto gt = ground_truth(injector.schedule(), ecfg);
-  const EvalResult r = evaluate(gt, fabric.detector().episodes(), ecfg);
+  const EvalResult r = evaluate(gt, fabric.detector().episodes());
 
   // The injected throttle and slowdown are found, with nothing spurious.
   EXPECT_DOUBLE_EQ(r.of(AnomalyKind::Throttle).recall(), 1.0);

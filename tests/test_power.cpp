@@ -371,8 +371,8 @@ TEST(Rapl, RejectsNegativeInputs) {
 TEST(Cooling, CopDegradesWithAmbient) {
   CoolingModel c;
   EXPECT_GT(c.cop(5.0), c.cop(35.0));
-  EXPECT_DOUBLE_EQ(c.cop(5.0), c.params().cop_ref);
-  EXPECT_GE(c.cop(200.0), c.params().cop_min);
+  EXPECT_DOUBLE_EQ(c.cop(5.0), CoolingModel::kCopRef);
+  EXPECT_GE(c.cop(200.0), CoolingModel::kCopMin);
 }
 
 TEST(Cooling, PueAboveOneAndMonotoneInAmbient) {
