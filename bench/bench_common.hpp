@@ -191,12 +191,21 @@ inline void attribution(const std::string& key, double joules,
 
 /// Parse `--threads N` from a bench's argv; any other arguments are left
 /// alone. N <= 0 (or no flag) selects hardware concurrency as reported by
-/// the runtime. The chosen value is also recorded as the report's top-level
-/// "threads" field.
+/// the runtime; an N that is not an integer ends the bench with exit code 2
+/// and the parse error on stderr, before any report is written. The chosen
+/// value is also recorded as the report's top-level "threads" field.
 inline int parse_threads(int argc, char** argv, int hardware_default) {
   int threads = hardware_default;
-  for (int i = 1; i + 1 < argc; ++i)
-    if (std::string(argv[i]) == "--threads") threads = std::atoi(argv[i + 1]);
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::string(argv[i]) != "--threads") continue;
+    try {
+      threads = parse_int<int>(argv[i + 1], "--threads");
+    } catch (const Error& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      std::fflush(stdout);
+      std::_Exit(2);
+    }
+  }
   if (threads <= 0) threads = hardware_default;
   metric("threads", static_cast<double>(threads));
   return threads;

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "cir/analysis.hpp"
+#include "cir/int_arith.hpp"
 
 namespace antarex::passes {
 
@@ -32,22 +33,9 @@ ExprPtr fold_literal_binop(BinOp op, const Expr& l, const Expr& r) {
   if (both_int) {
     const i64 a = static_cast<const IntLit&>(l).value;
     const i64 b = static_cast<const IntLit&>(r).value;
-    switch (op) {
-      case BinOp::Add: return make_int(a + b);
-      case BinOp::Sub: return make_int(a - b);
-      case BinOp::Mul: return make_int(a * b);
-      case BinOp::Div: return b == 0 ? nullptr : make_int(a / b);
-      case BinOp::Mod: return b == 0 ? nullptr : make_int(a % b);
-      case BinOp::Lt: return make_int(a < b);
-      case BinOp::Le: return make_int(a <= b);
-      case BinOp::Gt: return make_int(a > b);
-      case BinOp::Ge: return make_int(a >= b);
-      case BinOp::Eq: return make_int(a == b);
-      case BinOp::Ne: return make_int(a != b);
-      case BinOp::And: return make_int(a != 0 && b != 0);
-      case BinOp::Or: return make_int(a != 0 || b != 0);
-    }
-    return nullptr;
+    // Division or modulo by zero stays unfolded: the VM raises it at run time.
+    if ((op == BinOp::Div || op == BinOp::Mod) && b == 0) return nullptr;
+    return make_int(int_binop(op, a, b));
   }
   const double a = lit_value(l);
   const double b = lit_value(r);
@@ -76,7 +64,7 @@ std::size_t fold_tree(ExprPtr& e) {
       auto& u = static_cast<UnaryExpr&>(*e);
       folds += fold_tree(u.operand);
       if (u.op == UnOp::Neg && u.operand->kind == ExprKind::IntLit) {
-        e = make_int(-static_cast<IntLit&>(*u.operand).value);
+        e = make_int(int_neg(static_cast<IntLit&>(*u.operand).value));
         ++folds;
       } else if (u.op == UnOp::Neg && u.operand->kind == ExprKind::FloatLit) {
         e = make_float(-static_cast<FloatLit&>(*u.operand).value);

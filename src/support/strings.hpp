@@ -1,9 +1,12 @@
 // Small string helpers shared by the DSL/C frontends and report printers.
 #pragma once
 
+#include <charconv>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "support/common.hpp"
 
 namespace antarex {
 
@@ -27,5 +30,20 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /// Human-readable double with fixed decimals (benches/report tables).
 std::string fmt_double(double v, int decimals = 2);
+
+/// Parse `text` as a whole decimal integer of type T (optional leading '-').
+/// Throws Error naming `what` on empty text, any other character, or a
+/// value outside T's range. The checked parser for integer CLI input.
+template <class T>
+T parse_int(std::string_view text, const char* what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  const std::string quoted = std::string(what) + ": '" + std::string(text) + "'";
+  if (ec == std::errc::result_out_of_range) throw Error(quoted + " is out of range");
+  if (text.empty() || ec != std::errc() || ptr != end)
+    throw Error(quoted + " is not an integer");
+  return value;
+}
 
 }  // namespace antarex

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "cir/int_arith.hpp"
 #include "support/strings.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vm/compiler.hpp"
@@ -11,26 +12,30 @@ namespace antarex::vm {
 namespace {
 
 Value numeric_binop(Op op, const Value& a, const Value& b) {
-  // Int op Int stays integral (C semantics); any float operand promotes.
+  // Int op Int stays integral (mini-C semantics, cir/int_arith.hpp); any
+  // float operand promotes.
   if (a.is_int() && b.is_int()) {
     const i64 x = a.as_int();
     const i64 y = b.as_int();
+    const auto int_op = [x, y](cir::BinOp o) {
+      return Value::from_int(cir::int_binop(o, x, y));
+    };
     switch (op) {
-      case Op::Add: return Value::from_int(x + y);
-      case Op::Sub: return Value::from_int(x - y);
-      case Op::Mul: return Value::from_int(x * y);
+      case Op::Add: return int_op(cir::BinOp::Add);
+      case Op::Sub: return int_op(cir::BinOp::Sub);
+      case Op::Mul: return int_op(cir::BinOp::Mul);
       case Op::Div:
         if (y == 0) throw Error("vm: integer division by zero");
-        return Value::from_int(x / y);
+        return int_op(cir::BinOp::Div);
       case Op::Mod:
         if (y == 0) throw Error("vm: integer modulo by zero");
-        return Value::from_int(x % y);
-      case Op::Lt: return Value::from_int(x < y);
-      case Op::Le: return Value::from_int(x <= y);
-      case Op::Gt: return Value::from_int(x > y);
-      case Op::Ge: return Value::from_int(x >= y);
-      case Op::Eq: return Value::from_int(x == y);
-      case Op::Ne: return Value::from_int(x != y);
+        return int_op(cir::BinOp::Mod);
+      case Op::Lt: return int_op(cir::BinOp::Lt);
+      case Op::Le: return int_op(cir::BinOp::Le);
+      case Op::Gt: return int_op(cir::BinOp::Gt);
+      case Op::Ge: return int_op(cir::BinOp::Ge);
+      case Op::Eq: return int_op(cir::BinOp::Eq);
+      case Op::Ne: return int_op(cir::BinOp::Ne);
       default: break;
     }
   } else {
@@ -328,7 +333,7 @@ Value Engine::execute(const CompiledFunction& f, std::vector<Value>& args) {
         }
         case Op::Neg: {
           const Value a = pop();
-          stack.push_back(a.is_int() ? Value::from_int(-a.as_int())
+          stack.push_back(a.is_int() ? Value::from_int(cir::int_neg(a.as_int()))
                                      : Value::from_float(-a.as_float()));
           break;
         }

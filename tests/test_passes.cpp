@@ -5,6 +5,9 @@
 // same result before and after).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "cir/analysis.hpp"
 #include "cir/parser.hpp"
 #include "cir/printer.hpp"
@@ -125,6 +128,52 @@ TEST(ConstFold, PreservesSemantics) {
   const i64 before = run_int(*m, "f", {Value::from_int(5)});
   ConstantFoldPass().run(*m->find("f"));
   EXPECT_EQ(run_int(*m, "f", {Value::from_int(5)}), before);
+}
+
+// The folder and the VM share one integer arithmetic (cir/int_arith.hpp):
+// on every operator, at the operands where C's signed arithmetic overflows,
+// the folded literal equals what the VM computes. Both used to raise SIGFPE
+// on INT64_MIN / -1.
+TEST(ConstFold, FoldedAndExecutedIntArithmeticAgreeOnEdgeOperands) {
+  constexpr i64 kMin = std::numeric_limits<i64>::min();
+  constexpr i64 kMax = std::numeric_limits<i64>::max();
+  const i64 edges[] = {kMin, kMin + 1, -3, -2, -1, 0, 1, 2, 3, kMax - 1, kMax};
+  using cir::BinOp;
+  const BinOp ops[] = {BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod,
+                       BinOp::Lt,  BinOp::Le,  BinOp::Gt,  BinOp::Ge,  BinOp::Eq,
+                       BinOp::Ne,  BinOp::And, BinOp::Or};
+  for (const BinOp op : ops) {
+    const std::string name = cir::binop_name(op);
+    auto m = parse_module("int f(int a, int b) { return a " + name + " b; }");
+    vm::Engine engine;
+    engine.load_module(*m);
+    for (const i64 a : edges)
+      for (const i64 b : edges) {
+        SCOPED_TRACE(std::to_string(a) + " " + name + " " + std::to_string(b));
+        cir::ExprPtr e = cir::make_binary(op, cir::make_int(a), cir::make_int(b));
+        const std::size_t folds = fold_expr(e);
+        const std::vector<Value> args = {Value::from_int(a), Value::from_int(b)};
+        if ((op == BinOp::Div || op == BinOp::Mod) && b == 0) {
+          EXPECT_EQ(folds, 0u);
+          EXPECT_THROW(engine.call("f", args), Error);
+          continue;
+        }
+        ASSERT_EQ(e->kind, cir::ExprKind::IntLit);
+        EXPECT_EQ(static_cast<const cir::IntLit&>(*e).value,
+                  engine.call("f", args).as_int());
+      }
+  }
+  auto m = parse_module("int g(int a) { return -a; }");
+  vm::Engine engine;
+  engine.load_module(*m);
+  for (const i64 a : edges) {
+    cir::ExprPtr e = cir::make_unary(cir::UnOp::Neg, cir::make_int(a));
+    fold_expr(e);
+    ASSERT_EQ(e->kind, cir::ExprKind::IntLit);
+    EXPECT_EQ(static_cast<const cir::IntLit&>(*e).value,
+              engine.call("g", {Value::from_int(a)}).as_int())
+        << "-" << a;
+  }
 }
 
 // --------------------------------------------------------------------------

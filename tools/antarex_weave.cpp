@@ -8,8 +8,9 @@
 //   check   <app.c>                                        semantic diagnostics
 //
 // `explore` evaluates candidate pipelines on an antarex::exec thread pool;
-// --threads N sets the worker count (default: hardware concurrency). Results
-// are bit-identical for every N — see README "Parallel execution".
+// --threads N sets the worker count (N <= 0 or no flag: hardware
+// concurrency). Results are bit-identical for every N — see README "Parallel
+// execution". Integer arguments that do not parse are an error.
 //
 // The global --telemetry=<off|on|trace> flag (any position, any subcommand)
 // enables the telemetry runtime: `on` prints the registry summary after the
@@ -136,7 +137,7 @@ int cmd_run(int argc, char** argv) {
   engine.load_module(*module);
   std::vector<vm::Value> args;
   for (int i = 2; i < argc; ++i)
-    args.push_back(vm::Value::from_int(std::strtoll(argv[i], nullptr, 10)));
+    args.push_back(vm::Value::from_int(parse_int<i64>(argv[i], "run argument")));
   const vm::Value result = engine.call(argv[1], std::move(args));
   std::printf("%s\n", result.to_string().c_str());
   std::fprintf(stderr, "// %llu instructions executed\n",
@@ -147,8 +148,8 @@ int cmd_run(int argc, char** argv) {
 int cmd_explore(int argc, char** argv) {
   int threads = exec::ThreadPool::hardware_threads();
   if (argc >= 2 && std::strcmp(argv[0], "--threads") == 0) {
-    const long v = std::strtol(argv[1], nullptr, 10);
-    if (v > 0) threads = static_cast<int>(v);
+    const int v = parse_int<int>(argv[1], "--threads");
+    if (v > 0) threads = v;
     argc -= 2;
     argv += 2;
   }
@@ -156,7 +157,8 @@ int cmd_explore(int argc, char** argv) {
   auto module = cir::parse_module(read_file(argv[0]));
   const std::string entry = argv[1];
   std::vector<i64> int_args;
-  for (int i = 2; i < argc; ++i) int_args.push_back(std::strtoll(argv[i], nullptr, 10));
+  for (int i = 2; i < argc; ++i)
+    int_args.push_back(parse_int<i64>(argv[i], "explore argument"));
 
   passes::Workload workload;
   workload.entry = entry;
