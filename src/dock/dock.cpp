@@ -11,9 +11,11 @@ namespace {
 /// this fraction of the best; models the unpredictable per-ligand time
 /// (score landscapes differ between ligands).
 constexpr double kPruneThreshold = 0.25;
-constexpr double kRefineTStart = 2.0;       ///< initial annealing temperature (score units)
-constexpr double kRefineMaxTranslate = 1.0;  ///< proposal step (grid units)
-constexpr double kRefineMaxRotate = 0.35;    ///< proposal step (radians)
+/// refine_pose: initial annealing temperature (score units) and the largest
+/// proposal step in translation (grid units) and rotation (radians).
+constexpr double kTStart = 2.0;
+constexpr double kMaxTranslate = 1.0;
+constexpr double kMaxRotate = 0.35;
 }  // namespace
 
 std::array<double, 3> Molecule::centroid() const {
@@ -187,7 +189,7 @@ DockResult dock_ligand(const AffinityGrid& grid, const Molecule& mol,
 DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
                        const Pose& start, const RefineParams& params, Rng& rng) {
   ANTAREX_REQUIRE(params.steps >= 1, "refine_pose: need at least one step");
-  ANTAREX_REQUIRE(kRefineTStart >= params.t_end && params.t_end > 0.0,
+  ANTAREX_REQUIRE(kTStart >= params.t_end && params.t_end > 0.0,
                   "refine_pose: bad temperature schedule");
 
   DockResult result;
@@ -197,19 +199,19 @@ DockResult refine_pose(const AffinityGrid& grid, const Molecule& mol,
   result.best_score = current_score;
 
   const double cooling =
-      std::pow(params.t_end / kRefineTStart, 1.0 / params.steps);
-  double temperature = kRefineTStart;
+      std::pow(params.t_end / kTStart, 1.0 / params.steps);
+  double temperature = kTStart;
 
   for (int step = 0; step < params.steps; ++step) {
     Pose proposal = current;
     // Perturb one degree of freedom at a time (better acceptance at low T).
     switch (rng.uniform_int(0, 5)) {
-      case 0: proposal.tx += rng.uniform(-kRefineMaxTranslate, kRefineMaxTranslate); break;
-      case 1: proposal.ty += rng.uniform(-kRefineMaxTranslate, kRefineMaxTranslate); break;
-      case 2: proposal.tz += rng.uniform(-kRefineMaxTranslate, kRefineMaxTranslate); break;
-      case 3: proposal.rx += rng.uniform(-kRefineMaxRotate, kRefineMaxRotate); break;
-      case 4: proposal.ry += rng.uniform(-kRefineMaxRotate, kRefineMaxRotate); break;
-      default: proposal.rz += rng.uniform(-kRefineMaxRotate, kRefineMaxRotate); break;
+      case 0: proposal.tx += rng.uniform(-kMaxTranslate, kMaxTranslate); break;
+      case 1: proposal.ty += rng.uniform(-kMaxTranslate, kMaxTranslate); break;
+      case 2: proposal.tz += rng.uniform(-kMaxTranslate, kMaxTranslate); break;
+      case 3: proposal.rx += rng.uniform(-kMaxRotate, kMaxRotate); break;
+      case 4: proposal.ry += rng.uniform(-kMaxRotate, kMaxRotate); break;
+      default: proposal.rz += rng.uniform(-kMaxRotate, kMaxRotate); break;
     }
     const double s = score_pose(grid, mol, proposal);
     ++result.poses_evaluated;

@@ -13,8 +13,8 @@ namespace antarex::govern {
 
 namespace {
 constexpr u32 kNoDevice = rtrm::ShardedDispatcher::kInvalidDevice;
-constexpr int kActuatorPatienceEpochs = 2;   ///< over-cap epochs before escalating
-constexpr double kActuatorCooldownS = 4.0;   ///< min seconds between ladder moves
+constexpr int kActuatorPatienceEpochs = 2;  ///< over-cap epochs before escalating
+constexpr double kActuatorCooldownS = 4.0;  ///< min seconds between ladder moves
 /// Relax when the epoch mean sits below cap * (1 - kRelaxMargin).
 constexpr double kRelaxMargin = 0.25;
 }  // namespace
@@ -186,8 +186,8 @@ void CapCoordinator::close_epoch(double now_s) {
   renegotiate();
 
   // Escalation ladder: budgets failing to keep the mean under the effective
-  // cap for kActuatorPatienceEpochs consecutive epochs means the plant needs a coarser
-  // knob. Ample headroom walks back in reverse order.
+  // cap for kActuatorPatienceEpochs consecutive epochs means the plant needs
+  // a coarser knob. Ample headroom walks back in reverse order.
   const double eff_cap = cfg_.cluster_cap_w * (1.0 - cfg_.guard_fraction);
   const double relax_at = cfg_.cluster_cap_w * (1.0 - kRelaxMargin);
   if (mean_w > eff_cap) {

@@ -80,8 +80,8 @@ void AnomalyDetector::observe(const MetricFrame& frame) {
     }
     if (-zg > kZOpen) {
       // Progress fell off the shard baseline; the power signature says how.
-      const auto kind = zp < -kPowerDropZ ? AnomalyKind::Throttle
-                                                : AnomalyKind::SlowNode;
+      const auto kind =
+          zp < -kPowerDropZ ? AnomalyKind::Throttle : AnomalyKind::SlowNode;
       flags[static_cast<std::size_t>(kind)] = true;
       zs[static_cast<std::size_t>(kind)] = -zg;
     }
@@ -129,9 +129,8 @@ void AnomalyDetector::step_kind(NodeTrack& track, AnomalyKind kind,
   if (flagged) {
     ++ks.run;
     ks.quiet = 0;
-    const u32 open_after = kind == AnomalyKind::PowerSpike
-                               ? kSpikeOpenAfter
-                               : kOpenAfter;
+    const u32 open_after =
+        kind == AnomalyKind::PowerSpike ? kSpikeOpenAfter : kOpenAfter;
     if (!ks.open && ks.run >= open_after) open_episode(ks, kind, z, frame);
     if (ks.open) {
       ks.episode.peak_z = std::max(ks.episode.peak_z, z);

@@ -12,7 +12,7 @@ namespace antarex::monitor {
 
 namespace {
 
-constexpr u32 kMinSamples = 3;       ///< sampling instants inside a qualifying GT
+constexpr u32 kMinSamples = 3;        ///< sampling instants inside a qualifying GT
 constexpr double kMatchSlackS = 3.0;  ///< overlap grace (hysteresis + cadence lag)
 
 /// Closed-interval overlap with symmetric slack.

@@ -12,10 +12,9 @@
 // fabric's sampling instants inside the run — an episode the detector never
 // got a judged sample of is not a miss, it is unobservable. Precision counts
 // a detection as a true positive when it overlaps (with 3 s of grace on both
-// sides, for hysteresis and cadence lag) a
-// same-kind episode on the same node; where a throttle and a slowdown
-// overlap on one node the power signature is genuinely ambiguous, so either
-// kind matches there.
+// sides for hysteresis and cadence lag) a same-kind episode on the same
+// node; where a throttle and a slowdown overlap on one node the power
+// signature is genuinely ambiguous, so either kind matches there.
 #pragma once
 
 #include <vector>
@@ -33,7 +32,7 @@ struct GroundTruthEpisode {
   bool qualifies = false;  ///< counts toward the recall denominator
 };
 
-/// GT starting earlier never qualifies.
+/// Ground-truth episodes starting earlier never qualify for recall.
 inline constexpr double kWarmupEndS = 12.0;
 
 struct EvalConfig {

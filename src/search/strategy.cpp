@@ -90,8 +90,7 @@ void SearchStrategy::seed_generation_zero(const tuner::DesignSpace& space,
   model_.fit(space, knowledge, objective);
   if (model_.fitted()) {
     for (const tuner::Configuration& c :
-         model_.top_k(space, cfg_.model_top_k, minimize, cfg_.seed,
-                      kModelScanCap))
+         model_.top_k(space, cfg_.model_top_k, minimize, cfg_.seed, kModelScanCap))
       add(c);
   }
 

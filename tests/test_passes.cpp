@@ -132,8 +132,8 @@ TEST(ConstFold, PreservesSemantics) {
 
 // The folder and the VM share one integer arithmetic (cir/int_arith.hpp):
 // on every operator, at the operands where C's signed arithmetic overflows,
-// the folded literal equals what the VM computes. Both used to raise SIGFPE
-// on INT64_MIN / -1.
+// the folded literal equals what the VM computes. C's `/` would raise SIGFPE
+// on INT64_MIN / -1 in both.
 TEST(ConstFold, FoldedAndExecutedIntArithmeticAgreeOnEdgeOperands) {
   constexpr i64 kMin = std::numeric_limits<i64>::min();
   constexpr i64 kMax = std::numeric_limits<i64>::max();
