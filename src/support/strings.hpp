@@ -39,11 +39,10 @@ T parse_int(std::string_view text, const char* what) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  const std::string quoted = std::string(what) + ": '" + std::string(text) + "'";
-  if (ec == std::errc::result_out_of_range) throw Error(quoted + " is out of range");
-  if (text.empty() || ec != std::errc() || ptr != end)
-    throw Error(quoted + " is not an integer");
-  return value;
+  if (ec == std::errc() && ptr == end) return value;
+  const bool range = ec == std::errc::result_out_of_range;
+  throw Error(std::string(what) + ": '" + std::string(text) + "' is " +
+              (range ? "out of range" : "not an integer"));
 }
 
 }  // namespace antarex
